@@ -9,10 +9,12 @@ format, 3 numerical/fit failure, 4 incompatible inputs.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -92,7 +94,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    config = DEFAULT_CONFIG
+    """The defaults merged with a JSON file and overrides, as a fresh copy
+    that the caller may mutate without touching ``DEFAULT_CONFIG``."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         config = _deep_merge(config, json.loads(Path(path).read_text()))
     if overrides:
@@ -387,6 +391,11 @@ def _sweep_one(task):
             except (ShamansError, np.linalg.LinAlgError) as exc:
                 rows.append((scene_id, axis, value, method, sv_model,
                              truth.indices.size, 0, [], None, f"error: {exc}"))
+            except Exception as exc:  # an unexpected fault costs one row, not the sweep
+                traceback.print_exc(file=sys.stderr)
+                rows.append((scene_id, axis, value, method, sv_model,
+                             truth.indices.size, 0, [], None,
+                             f"error: {type(exc).__name__}: {exc}"))
     return rows
 
 

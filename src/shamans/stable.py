@@ -31,6 +31,14 @@ _ECF_THETAS = np.array([0.1, 0.5, 1.0, 2.0])
 _NUM_PROJECTIONS = 8
 _PROJECTION_SEED = 0x5EED
 _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
+# bytes of float64 phases per streamed chunk: the sketch and the alpha
+# estimate work one chunk at a time, so their scratch memory does not grow
+# with the number of frames (16 MB is near the fastest size measured)
+_CHUNK_BYTES = 16 * 2**20
+# empirical CF moduli below this are clamped before the log, so a Lévy
+# estimate at (or within rounding of) -2 ln of it marks a clamped cell
+_MAG_FLOOR = 1e-300
+_LEVY_CEIL = -2.0 * math.log(_MAG_FLOOR) * (1.0 - 1e-12)
 
 
 @dataclass
@@ -174,6 +182,21 @@ def sample_elliptic(alpha: float, epsilon: float, num_channels: int, count: int,
     return np.sqrt(a_pos)[None, :] * g
 
 
+def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
+    """Sums over the last axis of cos(2h) and sin(2h) for half-angles h.
+
+    Both come from one tangent t = tan(h): cos = 2/(1+t^2) - 1 and
+    sin = 2t/(1+t^2). ``weight`` (0/1, broadcast against ``half_phase``)
+    drops the terms it zeroes from both sums. ``half_phase`` is overwritten.
+    """
+    t = np.tan(half_phase, out=half_phase)
+    u = np.square(t)
+    u += 1.0
+    np.divide(2.0 if weight is None else 2.0 * weight, u, out=u)
+    count = t.shape[-1] if weight is None else weight.sum(axis=-1)
+    return u.sum(axis=-1) - count, np.einsum("...t,...t->...", u, t)
+
+
 def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     """Characteristic exponent from log-log characteristic-function slopes.
 
@@ -183,6 +206,10 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     log(-log |phi|) against log theta. A degenerate projection (no decay of
     |phi|, e.g. a constant signal) carries no tail information; if all
     projections degenerate the Gaussian edge 2.0 is returned.
+
+    All projections and thetas are evaluated together, streamed over the
+    samples in bounded chunks, with cos and sin of each phase taken from
+    one half-angle tangent.
     """
     flat = spec.bins.reshape(spec.num_channels, -1)
     if spec.valid_mask is not None:
@@ -198,15 +225,25 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
 
     y = np.real(proj.conj() @ flat)  # [D, n]
-    med = np.median(np.abs(y), axis=1)
+    med = np.median(np.abs(y), axis=1, overwrite_input=True)
+    live = med > 0
+    if not live.any():
+        return AlphaParam(_ALPHA_MAX)  # no projection has a scale to read
+    y = y[live] / med[live, None]  # [D', n]
+    half_thetas = 0.5 * _ECF_THETAS[None, :, None]
+    num = y.shape[1]
+    step = max(1, _CHUNK_BYTES // (8 * y.shape[0] * _ECF_THETAS.size))
+    cos_sum = np.zeros((y.shape[0], _ECF_THETAS.size))
+    sin_sum = np.zeros_like(cos_sum)
+    for s0 in range(0, num, step):
+        c, s = _cos_sin_sums(half_thetas * y[:, None, s0:s0 + step])
+        cos_sum += c
+        sin_sum += s
+    phi = np.hypot(cos_sum, sin_sum) / num  # [D', K]
+
     log_thetas = np.log(_ECF_THETAS)
     slopes = []
-    for d in range(_NUM_PROJECTIONS):
-        if med[d] == 0:
-            continue
-        yd = y[d] / med[d]
-        phi = np.abs(np.exp(1j * np.outer(_ECF_THETAS, yd)).mean(axis=1))
-        neg_log = -np.log(np.minimum(phi, 1.0))
+    for neg_log in -np.log(np.minimum(phi, 1.0)):
         if neg_log.max() < 1e-9:
             continue  # no decay: no resolvable tail along this projection
         slope = np.polyfit(log_thetas, np.log(np.maximum(neg_log, 1e-12)), 1)[0]
@@ -243,28 +280,40 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     / 2^(1/alpha))| over the valid frames of that bin. The time average of
     unit-modulus terms never exceeds 1, so estimates are nonnegative; an
     exactly-zero average is floored at 1e-300 before the log.
+
+    The sketch streams over chunks of frames: each chunk's phases come from
+    one batched real matmul [F, L, 2M] @ [F, 2M, Tc] and their cos and sin
+    from one half-angle tangent, accumulated into [F, L] sums. Working
+    memory is bounded by ``_CHUNK_BYTES`` and does not grow with T.
     """
     if spec.num_freqs != svs.num_freqs or not np.allclose(spec.freqs_hz, svs.freqs_hz):
         raise ShapeError("spectrogram and SV set must share the frequency axis")
     if spec.num_channels != svs.num_mics:
         raise ShapeError("spectrogram and SV set must share the channel count")
 
-    # Re(a~^H x): [L, F, T]
-    inner = np.einsum("lmf,mft->lft", svs.values.conj(), spec.bins).real
-    z = np.exp(1j * inner / 2.0 ** (1.0 / alpha.alpha))
-    if spec.valid_mask is not None:
-        counts = np.maximum(spec.valid_mask.sum(axis=1), 1)  # [F]
-        z = z * spec.valid_mask[None, :, :]
-        mean = z.sum(axis=2) / counts[None, :]
-    else:
-        mean = z.mean(axis=2)
-    mag = np.abs(mean)
-    if np.any(mag < 1e-300):
+    num_dirs, _, num_freqs = svs.values.shape
+    num_frames = spec.num_frames
+    # Re(a^H x) = Re(a).Re(x) + Im(a).Im(x); the half angle of the tangent
+    # and the 1/2^(1/alpha) scale ride on the SV side
+    a = svs.values.transpose(2, 0, 1)  # [F, L, M]
+    probes = (0.5 / 2.0 ** (1.0 / alpha.alpha)) * np.concatenate((a.real, a.imag), axis=2)
+    mask = spec.valid_mask
+    step = max(1, _CHUNK_BYTES // (8 * num_freqs * num_dirs))
+    cos_sum = np.zeros((num_freqs, num_dirs))
+    sin_sum = np.zeros_like(cos_sum)
+    for t0 in range(0, num_frames, step):
+        x = spec.bins[:, :, t0:t0 + step].transpose(1, 0, 2)  # [F, M, Tc]
+        half = probes @ np.concatenate((x.real, x.imag), axis=1)  # [F, L, Tc]
+        c, s = _cos_sin_sums(half, None if mask is None else mask[:, None, t0:t0 + step])
+        cos_sum += c
+        sin_sum += s
+    counts = num_frames if mask is None else np.maximum(mask.sum(axis=1), 1)[:, None]
+    mag = np.hypot(cos_sum, sin_sum) / counts  # [F, L]
+    if np.any(mag < _MAG_FLOOR):
         warnings.warn("Lévy estimator hit an exactly-zero empirical average; "
                       "clamping before the log", RuntimeWarning)
-    mag = np.clip(mag, 1e-300, 1.0)
-    i_hat = -2.0 * np.log(mag)  # [L, F]
-    return np.ascontiguousarray(i_hat.T).reshape(-1)  # f-blocks, l fastest
+    mag = np.clip(mag, _MAG_FLOOR, 1.0)
+    return (-2.0 * np.log(mag)).reshape(-1)  # f-blocks, l fastest
 
 
 def build_psi(svs: NormalizedSVSet, alpha: AlphaParam) -> np.ndarray:
@@ -357,5 +406,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         "p_norm": config.p_norm,
         "num_freqs": int(spec_idx.size),
         "num_frames": spec.num_frames,
+        "masked_bins": int(sub_spec.valid_mask.size - np.count_nonzero(sub_spec.valid_mask)),
+        "levy_clamped": int(np.count_nonzero(i_hat >= _LEVY_CEIL)),
     }
     return measure

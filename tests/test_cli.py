@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import copy
 import csv
 import json
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shamans.cli import main
+from shamans import cli
+from shamans.cli import DEFAULT_CONFIG, load_config, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -82,6 +84,25 @@ class TestFit:
         assert rc == 2
 
 
+class TestConfig:
+    def test_localize_leaves_defaults_unchanged(self, tmp_path):
+        before = copy.deepcopy(DEFAULT_CONFIG)
+        rc = main(["localize", "--sv-model", "alg", "--method", "music-1",
+                   "--out", str(tmp_path / "loc")])
+        assert rc == 0
+        assert DEFAULT_CONFIG == before
+
+    def test_loaded_config_shares_nothing_with_defaults(self, small_config):
+        before = copy.deepcopy(DEFAULT_CONFIG)
+        for cfg in (load_config(None), load_config(str(small_config)),
+                    load_config(None, {"scene": {"snr_db": 5.0}})):
+            cfg["method"] = "srp-phat"
+            cfg["peaks"]["threshold"] = 0.9  # a section the file leaves out
+            cfg["scene"]["source_kind"]["alpha"] = 1.1
+            cfg["scene"]["source_indices"].append(3)
+        assert DEFAULT_CONFIG == before
+
+
 class TestLocalize:
     def test_golden_scene_zero_error(self, tmp_path):
         out = tmp_path / "run"
@@ -106,6 +127,12 @@ class TestLocalize:
                 rows = list(csv.DictReader(fh))
             spectra[method] = np.array([float(r["value"]) for r in rows])
         assert np.argmax(spectra["shamans"]) == np.argmax(spectra["music-1"])
+
+    def test_sidecar_records_sketch_counts(self, small_config, tmp_path):
+        out = tmp_path / "loc"
+        assert main(["localize", "--config", str(small_config), "--out", str(out)]) == 0
+        info = json.loads((out / "spectrum.json").read_text())
+        assert info["masked_bins"] == 0 and info["levy_clamped"] == 0
 
     def test_missing_scene_exits_2(self, small_config, tmp_path):
         rc = main(["localize", "--config", str(small_config),
@@ -198,6 +225,23 @@ class TestSweep:
             by_model.setdefault(r["sv_model"], []).append(r["status"])
         assert all(s == "ok" for s in by_model["ref"])
         assert all(s.startswith("sv-error") for s in by_model["sh"])
+
+    def test_unexpected_method_error_becomes_row(self, small_config, tmp_path,
+                                                 monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "run_method", broken)
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "broken"
+        rc = main(["sweep", "--config", str(small_config), "--count", "1",
+                   "--methods", "shamans,music-1", "--sv-models", "ref,alg",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "detail.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 * 2 * 2  # scenes x methods x SV models
+        assert all(r["status"] == "error: RuntimeError: boom" for r in rows)
 
 
 class TestSimulate:

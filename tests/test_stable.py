@@ -1,10 +1,14 @@
 """Tests for alpha estimation, the Lévy sketch, and the multiplicative solver."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shamans import stable
 from shamans.errors import EstimationError, ParameterError
 from shamans.signal import Spectrogram, StftParams
 from shamans.scenes import SasSourceKind, SceneSpec, synth_scene
@@ -109,6 +113,37 @@ class TestEstimateAlpha:
         with pytest.raises(EstimationError):
             estimate_alpha(spectrogram_from_samples(np.ones(50, dtype=complex)))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_matches_complex_exp_formula(self, alpha, monkeypatch):
+        # a small chunk budget streams the 20000 samples in 20 chunks plus
+        # a remainder
+        monkeypatch.setattr(stable, "_CHUNK_BYTES", 8 * 8 * 4 * 999)
+        x = sample_sas(alpha, 1.0, 2 * 20_000, 40 + int(10 * alpha))
+        spec = spectrogram_from_samples(x, n_channels=2)
+        assert abs(estimate_alpha(spec).alpha - seed_estimate_alpha(spec)) <= 1e-12
+
+
+def seed_estimate_alpha(spec):
+    """Reference: one projection at a time, CF moduli from complex exp."""
+    flat = spec.bins.reshape(spec.num_channels, -1)
+    rng = np.random.default_rng(stable._PROJECTION_SEED)
+    proj = rng.standard_normal((8, spec.num_channels)) \
+        + 1j * rng.standard_normal((8, spec.num_channels))
+    proj /= np.linalg.norm(proj, axis=1, keepdims=True)
+    y = np.real(proj.conj() @ flat)
+    med = np.median(np.abs(y), axis=1)
+    thetas = stable._ECF_THETAS
+    slopes = []
+    for d in range(8):
+        if med[d] == 0:
+            continue
+        phi = np.abs(np.exp(1j * np.outer(thetas, y[d] / med[d])).mean(axis=1))
+        neg_log = -np.log(np.minimum(phi, 1.0))
+        if neg_log.max() < 1e-9:
+            continue
+        slopes.append(np.polyfit(np.log(thetas), np.log(np.maximum(neg_log, 1e-12)), 1)[0])
+    return float(np.clip(np.mean(slopes), 0.4, 2.0)) if slopes else 2.0
+
 
 class TestNormalizeObservations:
     def test_unit_l1_unchanged(self):
@@ -185,6 +220,112 @@ class TestLevyEstimator:
                           first_bin=1)
         assert np.allclose(levy_estimator(spec, svs, AlphaParam(1.5)),
                            levy_estimator(ref, svs, AlphaParam(1.5)))
+
+
+def seed_levy(spec, svs, alpha):
+    """Reference sketch: complex einsum and exp over the full [L, F, T] cube."""
+    inner = np.einsum("lmf,mft->lft", svs.values.conj(), spec.bins).real
+    z = np.exp(1j * inner / 2.0 ** (1.0 / alpha.alpha))
+    if spec.valid_mask is not None:
+        counts = np.maximum(spec.valid_mask.sum(axis=1), 1)
+        mean = (z * spec.valid_mask[None, :, :]).sum(axis=2) / counts[None, :]
+    else:
+        mean = z.mean(axis=2)
+    i_hat = -2.0 * np.log(np.clip(np.abs(mean), 1e-300, 1.0))
+    return np.ascontiguousarray(i_hat.T).reshape(-1)
+
+
+def cf_modulus(i_hat):
+    """The empirical CF modulus |mean_t exp(i phase)| a sketch entry encodes."""
+    return np.exp(-0.5 * i_hat)
+
+
+def random_levy_inputs(seed, num_frames, phase_scale, masked, num_dirs=5,
+                       num_mics=3, num_freqs=4):
+    rng = np.random.default_rng(seed)
+    shape = (num_dirs, num_mics, num_freqs)
+    svs = unit_svs(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                   np.arange(1, num_freqs + 1) * 62.5)
+    shape = (num_mics, num_freqs, num_frames)
+    bins = phase_scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    mask = rng.random((num_freqs, num_frames)) < 0.7 if masked else None
+    return Spectrogram(bins, 48000, 768, 384, valid_mask=mask, first_bin=1), svs
+
+
+class TestStreamedSketch:
+    """The chunked real-matmul sketch against the complex-exp formula."""
+
+    CHUNK = 16  # frames per chunk under the patched budget below
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # 5 directions x 4 bins x 16 frames of float64 per chunk, so the
+        # chunk edges are reached with a few dozen frames
+        monkeypatch.setattr(stable, "_CHUNK_BYTES", 8 * 5 * 4 * self.CHUNK)
+
+    @pytest.mark.parametrize("num_frames", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_oracle(self, num_frames, masked):
+        spec, svs = random_levy_inputs(1, num_frames, 0.5, masked)
+        alpha = AlphaParam(1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # fully masked bins
+            got, want = levy_estimator(spec, svs, alpha), seed_levy(spec, svs, alpha)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("num_frames", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_oracle_past_tangent_poles(self, num_frames, masked):
+        # phases up to ~1e3 wrap through hundreds of tangent poles. Rounding
+        # of a phase that large is ~1e-13 in either formula, and -2 ln m
+        # magnifies it by 2 / m, so the comparison is made on the CF
+        # modulus m, which is what the two formulas compute.
+        spec, svs = random_levy_inputs(2, num_frames, 150.0, masked)
+        alpha = AlphaParam(1.5)
+        phases = np.einsum("lmf,mft->lft", svs.values.conj(), spec.bins).real
+        assert np.abs(phases).max() / 2.0 ** (1 / 1.5) > 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got, want = levy_estimator(spec, svs, alpha), seed_levy(spec, svs, alpha)
+        assert np.max(np.abs(cf_modulus(got) - cf_modulus(want))) <= 1e-12
+
+    def test_peak_memory_independent_of_frames(self, monkeypatch):
+        monkeypatch.setattr(stable, "_CHUNK_BYTES", 2**20)
+        chunk = stable._CHUNK_BYTES // (8 * 40 * 16)
+        peaks = []
+        for num_frames in (2 * chunk, 20 * chunk):
+            spec, svs = random_levy_inputs(3, num_frames, 1.0, True, num_dirs=40,
+                                           num_freqs=16)
+            tracemalloc.start()
+            try:
+                levy_estimator(spec, svs, AlphaParam(1.5))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a full [L, F, T] complex cube would take 4 MB and 42 MB
+        assert abs(peaks[1] - peaks[0]) < 2e6
+        assert peaks[1] < 4 * stable._CHUNK_BYTES
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**31), num_frames=st.integers(1, 60),
+           phase_scale=st.floats(0.01, 100.0), masked=st.booleans())
+    def test_properties(self, seed, num_frames, phase_scale, masked):
+        spec, svs = random_levy_inputs(seed, num_frames, phase_scale, masked)
+        alpha = AlphaParam(1.3)
+        perm = np.random.default_rng(seed).permutation(num_frames)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            i_hat = levy_estimator(spec, svs, alpha)
+            flipped = levy_estimator(
+                Spectrogram(-spec.bins, 48000, 768, 384, valid_mask=spec.valid_mask,
+                            first_bin=1), svs, alpha)
+            shuffled = levy_estimator(
+                Spectrogram(spec.bins[:, :, perm], 48000, 768, 384, first_bin=1,
+                            valid_mask=None if spec.valid_mask is None
+                            else spec.valid_mask[:, perm]), svs, alpha)
+        assert np.all(i_hat >= 0)
+        for other in (flipped, shuffled):
+            assert np.max(np.abs(cf_modulus(other) - cf_modulus(i_hat))) <= 1e-12
 
 
 class TestBuildPsi:
@@ -361,6 +502,20 @@ class TestShamansLocalize:
             out = shamans_localize(noisy, svs, SolverConfig(iterations=200))
             argmaxes.append(int(np.argmax(out.upsilon)))
         assert argmaxes[0] == argmaxes[1] == 11
+
+    def test_info_counts_masked_bins_and_clamped_cells(self):
+        grid, params, svs = make_scene_setup(seed=1, grid_size=30)
+        scene = SceneSpec(source_indices=[7], seed=2, snr_db=20.0)
+        sg, _ = synth_scene(scene, svs, params)
+        clean = shamans_localize(sg, svs, SolverConfig(iterations=20))
+        assert clean.info["masked_bins"] == 0 and clean.info["levy_clamped"] == 0
+        bins = sg.bins.copy()
+        bins[:, 5, :] = 0.0  # one retained bin all zero: masked, CF average 0
+        zeroed = Spectrogram(bins, sg.sample_rate, sg.frame_size, sg.hop)
+        with pytest.warns(RuntimeWarning, match="exactly-zero"):
+            out = shamans_localize(zeroed, svs, SolverConfig(iterations=20))
+        assert out.info["masked_bins"] == sg.num_frames
+        assert out.info["levy_clamped"] == len(grid)
 
     def test_p_above_alpha_rejected(self):
         grid, params, svs = make_scene_setup(seed=12, grid_size=30)

@@ -356,17 +356,41 @@ def _num_workers() -> int:
     return workers
 
 
-def _sweep_one(task):
-    """Worker: evaluate all (method, sv_model) pairs on one scene."""
-    config, scene_doc, axis, value, scene_id, methods, sv_models, artifacts = task
-    params = build_stft_params(config)
-    grid = build_grid(config)
-    geometry = build_array(config)
-    field = build_field(config, geometry, grid, params)
-    ref = field.on_grid(grid)
-    spec = scenes.scene_from_dict(scene_doc)
-    spectrogram, truth = synth_scene(spec, ref, params)
+def _fault_status(prefix: str, exc: Exception) -> str:
+    """Row status for a failed sweep step; an unexpected fault also logs its traceback."""
+    if isinstance(exc, (ShamansError, OSError, np.linalg.LinAlgError)):
+        return f"{prefix}: {exc}"
+    traceback.print_exc(file=sys.stderr)
+    return f"{prefix}: {type(exc).__name__}: {exc}"
 
+
+def _sweep_one(task):
+    """Worker: evaluate all (method, sv_model) pairs on one scene.
+
+    A failing step costs the rows it would have produced, never the sweep:
+    the scene (field build and synthesis) spans every pair, an SV set the
+    methods run on it, a method one row.
+    """
+    config, scene_doc, axis, value, scene_id, methods, sv_models, artifacts = task
+
+    def error_row(method, sv_model, n_true, status):
+        return (scene_id, axis, value, method, sv_model, n_true, 0, [], None, status)
+
+    try:
+        params = build_stft_params(config)
+        grid = build_grid(config)
+        geometry = build_array(config)
+        field = build_field(config, geometry, grid, params)
+        ref = field.on_grid(grid)
+        spec = scenes.scene_from_dict(scene_doc)
+        spectrogram, truth = synth_scene(spec, ref, params)
+    except Exception as exc:  # one scene's fault costs its rows, not the pool
+        status = _fault_status("scene-error", exc)
+        n_true = len(scene_doc.get("source_indices", []))
+        return [error_row(method, sv_model, n_true, status)
+                for sv_model in sv_models for method in methods]
+
+    n_true = truth.indices.size
     rows = []
     for sv_model in sv_models:
         try:
@@ -377,25 +401,19 @@ def _sweep_one(task):
             else:
                 svs = interp_svs(load_fit_artifact(artifacts[sv_model]), grid,
                                  stft_freqs(params))
-        except (ShamansError, OSError) as exc:
-            for method in methods:
-                rows.append((scene_id, axis, value, method, sv_model, truth.indices.size,
-                             0, [], None, f"sv-error: {exc}"))
+        except Exception as exc:
+            status = _fault_status("sv-error", exc)
+            rows.extend(error_row(method, sv_model, n_true, status) for method in methods)
             continue
         for method in methods:
             try:
                 res = _localize_once(config, spectrogram, svs, truth, method)
-                rows.append((scene_id, axis, value, method, sv_model,
-                             truth.indices.size, len(res["peaks"]),
-                             res.get("errors_deg", []), res.get("acc15"), "ok"))
-            except (ShamansError, np.linalg.LinAlgError) as exc:
-                rows.append((scene_id, axis, value, method, sv_model,
-                             truth.indices.size, 0, [], None, f"error: {exc}"))
-            except Exception as exc:  # an unexpected fault costs one row, not the sweep
-                traceback.print_exc(file=sys.stderr)
-                rows.append((scene_id, axis, value, method, sv_model,
-                             truth.indices.size, 0, [], None,
-                             f"error: {type(exc).__name__}: {exc}"))
+                rows.append((scene_id, axis, value, method, sv_model, n_true,
+                             len(res["peaks"]), res.get("errors_deg", []),
+                             res.get("acc15"), "ok"))
+            except Exception as exc:
+                rows.append(error_row(method, sv_model, n_true,
+                                      _fault_status("error", exc)))
     return rows
 
 

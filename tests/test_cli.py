@@ -133,6 +133,7 @@ class TestLocalize:
         assert main(["localize", "--config", str(small_config), "--out", str(out)]) == 0
         info = json.loads((out / "spectrum.json").read_text())
         assert info["masked_bins"] == 0 and info["levy_clamped"] == 0
+        assert 0.0 <= info["late_rel_change"] < 1.0
 
     def test_missing_scene_exits_2(self, small_config, tmp_path):
         rc = main(["localize", "--config", str(small_config),
@@ -242,6 +243,35 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 * 2 * 2  # scenes x methods x SV models
         assert all(r["status"] == "error: RuntimeError: boom" for r in rows)
+
+    @pytest.mark.parametrize("step, status, failed_models", [
+        ("build_field", "scene-error", {"ref", "alg"}),
+        ("synth_scene", "scene-error", {"ref", "alg"}),
+        ("algebraic_svs", "sv-error", {"alg"}),
+    ])
+    def test_unexpected_step_error_becomes_rows(self, small_config, tmp_path,
+                                                monkeypatch, capsys, step, status,
+                                                failed_models):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, step, broken)
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "broken"
+        rc = main(["sweep", "--config", str(small_config), "--count", "2",
+                   "--methods", "shamans,music-1", "--sv-models", "ref,alg",
+                   "--out", str(out)])
+        assert rc == 0
+        with open(out / "detail.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 2  # scenes x methods x SV models
+        for r in rows:
+            if r["sv_model"] in failed_models:
+                assert r["status"] == f"{status}: RuntimeError: boom"
+                assert r["n_true"] == "1" and r["n_est"] == "0"
+            else:
+                assert r["status"] == "ok"
+        assert "RuntimeError: boom" in capsys.readouterr().err
 
 
 class TestSimulate:

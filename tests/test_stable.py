@@ -171,6 +171,32 @@ class TestNormalizeObservations:
         with pytest.raises(ParameterError):
             normalize_observations(spec, 0.0)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_seed_formula(self, p, masked):
+        rng = np.random.default_rng(int(10 * p))
+        bins = rng.standard_normal((4, 9, 30)) + 1j * rng.standard_normal((4, 9, 30))
+        bins[:, 2, :] = 0.0
+        bins[:, :, 7] = 0.0
+        mask = rng.random((9, 30)) < 0.8 if masked else None
+        spec = Spectrogram(bins, 48000, 768, 384, valid_mask=mask)
+        before = spec.bins.copy()
+        out = normalize_observations(spec, p)
+        want_bins, want_mask = seed_normalize(spec, p)
+        assert np.array_equal(out.bins, want_bins)
+        assert np.array_equal(out.valid_mask, want_mask)
+        assert np.array_equal(spec.bins, before)
+
+
+def seed_normalize(spec, p):
+    """Reference: the p-norm normalization with full-size temporaries."""
+    norms_p = np.sum(np.abs(spec.bins) ** p, axis=0)
+    mask = norms_p > 0
+    if spec.valid_mask is not None:
+        mask &= spec.valid_mask
+    safe = np.where(norms_p > 0, norms_p, 1.0)
+    return np.where(mask[None, :, :], spec.bins / safe[None, :, :], 0.0), mask
+
 
 def unit_svs(values, freqs):
     """Wrap explicit values as a NormalizedSVSet on a dummy grid."""
@@ -357,9 +383,27 @@ class TestBuildPsi:
                 blk = psi[6 * f : 6 * (f + 1)]
                 assert np.max(np.abs(blk - blk.T)) < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+    def test_matches_einsum_oracle(self, alpha):
+        rng = np.random.default_rng(int(10 * alpha))
+        shape = (60, 6, 32)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        svs = normalize_svs(SteeringVectorSet(values, DoaGrid.uniform(60, 1.7),
+                                              np.arange(1, 33) * 62.5))
+        got = build_psi(svs, AlphaParam(alpha))
+        assert got.shape == (32 * 60, 60)
+        assert np.max(np.abs(got - seed_build_psi(svs, AlphaParam(alpha)))) <= 1e-12
+
+
+def seed_build_psi(svs, alpha):
+    """Reference: the Gram blocks from one complex einsum."""
+    gram = np.einsum("lmf,kmf->flk", svs.values.conj(), svs.values)
+    psi = np.abs(gram) ** alpha.alpha
+    return psi.reshape(-1, psi.shape[2])
+
 
 def random_sketch(seed, num_dirs=8, num_freqs=16, num_mics=6, alpha=1.5,
-                  support=((1, 2.0), (3, 0.5))):
+                  support=((1, 2.0), (3, 0.5)), noise=0.0):
     """Synthetic sketch with i_hat = psi @ ups_true, SV-structured psi."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((num_dirs, num_mics, num_freqs)) \
@@ -370,9 +414,29 @@ def random_sketch(seed, num_dirs=8, num_freqs=16, num_mics=6, alpha=1.5,
     ups_true = np.zeros(num_dirs)
     for idx, val in support:
         ups_true[idx] = val
-    sketch = LevySketch(i_hat=psi @ ups_true, psi=psi, alpha=AlphaParam(alpha),
+    # noise > 0 scales each entry by a lognormal factor, so the sketch is
+    # no longer exactly representable
+    i_hat = psi @ ups_true * np.exp(noise * rng.standard_normal(psi.shape[0]))
+    sketch = LevySketch(i_hat=i_hat, psi=psi, alpha=AlphaParam(alpha),
                         num_freqs=num_freqs)
     return sketch, ups_true
+
+
+def seed_multiplicative_update(sketch, config):
+    """Reference: the solver loop on Psi in the layout it is given."""
+    psi, i_hat = sketch.psi, sketch.i_hat
+    beta, lam = config.beta, config.sparsity_lambda
+    ups = np.ones(psi.shape[1])
+    for _ in range(config.iterations):
+        pv = np.maximum(psi @ ups, 1e-12)
+        if beta == 1.0:
+            num = psi.T @ (i_hat / pv)
+            den = psi.sum(axis=0) + lam
+        else:
+            num = psi.T @ (pv ** (beta - 2.0) * i_hat)
+            den = psi.T @ (pv ** (beta - 1.0)) + lam
+        ups = ups * num / np.maximum(den, 1e-300)
+    return ups
 
 
 class TestMultiplicativeUpdate:
@@ -431,6 +495,58 @@ class TestMultiplicativeUpdate:
         start = np.where(ups_true > 0, ups_true, 0.0)
         out = multiplicative_update(sketch, cfg, upsilon0=start).upsilon
         assert np.max(np.abs(out - start)) < 1e-10
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_layout_and_seed_loop_agree(self, beta):
+        # full-size system (60 directions, 128 bins), where BLAS splits the
+        # products across threads differently for each layout
+        sketch, _ = random_sketch(11, num_dirs=60, num_freqs=128,
+                                  support=((5, 1.0), (20, 2.0), (41, 0.5)), noise=0.1)
+        cfg = SolverConfig(beta=beta, iterations=500)
+        assert sketch.psi.flags.c_contiguous
+        fortran = LevySketch(sketch.i_hat, np.asfortranarray(sketch.psi),
+                             sketch.alpha, sketch.num_freqs)
+        got_c = multiplicative_update(sketch, cfg).upsilon
+        got_f = multiplicative_update(fortran, cfg).upsilon
+        want = seed_multiplicative_update(sketch, cfg)
+        scale = np.max(want)
+        assert np.max(np.abs(got_c - got_f)) <= 1e-12 * scale
+        assert np.max(np.abs(got_c - want)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("iterations", [1, 9, 50])
+    def test_info_late_rel_change(self, iterations):
+        sketch, _ = random_sketch(3, noise=0.2)
+        out = multiplicative_update(sketch, SolverConfig(iterations=iterations))
+        k = iterations - max(1, iterations // 10)
+        late = np.ones(8) if k == 0 else \
+            multiplicative_update(sketch, SolverConfig(iterations=k)).upsilon
+        want = np.abs(out.upsilon - late).sum() / out.upsilon.sum()
+        assert np.isfinite(out.info["late_rel_change"])
+        assert out.info["late_rel_change"] == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), num_dirs=st.integers(2, 12),
+           num_freqs=st.integers(1, 8), alpha=st.floats(0.5, 2.0),
+           lam=st.sampled_from([0.0, 1e-3, 0.1]), noise=st.floats(0.0, 1.0))
+    def test_properties(self, seed, num_dirs, num_freqs, alpha, lam, noise):
+        # beta = 1 updates are majorize-minimize steps of the KL + L1
+        # objective: iterates stay nonnegative and it never increases. The
+        # objective sums terms as large as i_hat, so it is known to about
+        # 1e-16 * sum(i_hat); an exactly fitted sketch reaches 0 and then
+        # rounds to tiny positive values.
+        sketch, _ = random_sketch(seed, num_dirs=num_dirs, num_freqs=num_freqs,
+                                  num_mics=4, alpha=alpha, noise=noise,
+                                  support=((0, 1.0), (num_dirs - 1, 0.5)))
+        cfg1 = SolverConfig(beta=1.0, sparsity_lambda=lam, iterations=1)
+        slack = 1e-12 * sketch.i_hat.sum()
+        ups = np.ones(num_dirs)
+        prev = kl_sparse_objective(sketch, ups, lam)
+        for _ in range(30):
+            ups = multiplicative_update(sketch, cfg1, upsilon0=ups).upsilon
+            assert np.all(ups >= 0)
+            cur = kl_sparse_objective(sketch, ups, lam)
+            assert cur <= prev + 1e-9 * abs(prev) + slack
+            prev = cur
 
     def test_beta2_euclidean_variant_runs(self):
         sketch, _ = random_sketch(8)
@@ -509,6 +625,7 @@ class TestShamansLocalize:
         sg, _ = synth_scene(scene, svs, params)
         clean = shamans_localize(sg, svs, SolverConfig(iterations=20))
         assert clean.info["masked_bins"] == 0 and clean.info["levy_clamped"] == 0
+        assert np.isfinite(clean.info["late_rel_change"])
         bins = sg.bins.copy()
         bins[:, 5, :] = 0.0  # one retained bin all zero: masked, CF average 0
         zeroed = Spectrogram(bins, sg.sample_rate, sg.frame_size, sg.hop)

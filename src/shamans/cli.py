@@ -12,7 +12,6 @@ import argparse
 import copy
 import csv
 import json
-import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -49,7 +48,7 @@ from .scenes import (
     synth_scene,
     synthetic_measured_svs,
 )
-from .signal import StftParams, read_wav, stft
+from .signal import StftParams, _num_workers, read_wav, stft
 from .stable import SolverConfig, shamans_localize
 from .steering import (
     ArrayGeometry,
@@ -346,14 +345,6 @@ def cmd_localize(args) -> int:
     (out / "result.json").write_text(json.dumps(doc, sort_keys=True, indent=1))
     print(f"wrote {out / 'spectrum.csv'} and {out / 'result.json'}")
     return EXIT_OK
-
-
-def _num_workers() -> int:
-    cap = os.environ.get("SHAMANS_THREADS")
-    workers = os.cpu_count() or 1
-    if cap:
-        workers = max(1, min(workers, int(cap)))
-    return workers
 
 
 def _fault_status(prefix: str, exc: Exception) -> str:

@@ -7,7 +7,9 @@ float32, little-endian.
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +20,47 @@ from .errors import FormatError, ParameterError, TruncationError
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# bytes of scratch per streamed pass over a long input (the STFT, the Lévy
+# sketch, the alpha estimate): within it a pass runs as one inline call,
+# beyond it in chunks of a quarter of it (16 MB was near the fastest size)
+_CHUNK_BYTES = 16 * 2**20
+_MAX_THREADS = 4
+
+
+def _num_workers() -> int:
+    """CPUs this process may use: os.cpu_count(), capped by SHAMANS_THREADS."""
+    cap = os.environ.get("SHAMANS_THREADS")
+    workers = os.cpu_count() or 1
+    if cap:
+        try:
+            workers = max(1, min(workers, int(cap)))
+        except ValueError:
+            raise ParameterError(f"SHAMANS_THREADS must be an integer, got {cap!r}") from None
+    return workers
+
+
+def _map_chunks(fn, total: int, unit_bytes: int, budget: int) -> list:
+    """``[fn(start, stop), ...]`` over consecutive chunks of ``range(total)``.
+
+    If the whole range needs at most ``budget`` bytes of scratch
+    (``unit_bytes`` per item), this is one inline call ``fn(0, total)``.
+    Otherwise the chunks hold ``budget // _MAX_THREADS`` bytes each and run
+    on a per-call pool of up to ``_MAX_THREADS`` threads (fewer with fewer
+    CPUs), so at most ``budget`` bytes are in flight. Chunk edges depend
+    only on the arguments and results come back in chunk order, so a
+    caller that reduces them in order gets the same bits on any CPU count.
+    ``fn`` runs on worker threads: it may call numpy and private helpers
+    only.
+    """
+    if total * unit_bytes <= budget:
+        return [fn(0, total)]
+    step = max(1, budget // _MAX_THREADS // unit_bytes)
+    starts = range(0, total, step)
+    workers = min(len(starts), _MAX_THREADS, _num_workers())
+    if workers == 1:
+        return [fn(s, min(s + step, total)) for s in starts]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda s: fn(s, min(s + step, total)), starts))
 
 
 @dataclass
@@ -120,7 +163,7 @@ def read_wav(path) -> AudioBuffer:
     Integer samples are scaled by 1/32768 so full-scale negative maps to
     -1.0; float payloads are passed through unchanged.
     """
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())  # chunk bodies slice without copying
     if len(data) < 12:
         raise TruncationError(f"{path}: too short for a RIFF header")
     if data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -130,7 +173,7 @@ def read_wav(path) -> AudioBuffer:
     payload = None
     pos = 12
     while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
+        chunk_id = bytes(data[pos : pos + 4])
         size = struct.unpack("<I", data[pos + 4 : pos + 8])[0]
         body = data[pos + 8 : pos + 8 + size]
         if len(body) < size:
@@ -160,8 +203,15 @@ def read_wav(path) -> AudioBuffer:
     if len(payload) % frame_bytes != 0:
         raise TruncationError(f"{path}: data chunk is not a whole number of frames")
 
-    raw = np.frombuffer(payload, dtype=dtype).astype(np.float64) * scale
-    samples = raw.reshape(-1, channels).T
+    if len(payload) == 0:
+        raise FormatError(f"{path}: data chunk holds no frames")
+
+    raw = np.frombuffer(payload, dtype=dtype).reshape(-1, channels)
+    # one strided cast-and-scale pass straight into [channels, samples]; a
+    # NaN payload warns nothing here, AudioBuffer rejects it with a typed error
+    samples = np.empty((channels, raw.shape[0]))
+    with np.errstate(invalid="ignore"):
+        np.multiply(raw.T, scale, out=samples)
     return AudioBuffer(samples=samples, sample_rate=int(rate))
 
 
@@ -197,6 +247,8 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
     """Windowed one-sided STFT, keeping only bins at or below ``f_max_hz``.
 
     Frames are taken without padding, so T = floor((S - frame_size)/hop) + 1.
+    A long signal is transformed in chunks of frames (see ``_map_chunks``),
+    each writing its kept bins into the [M, F, T] output.
     """
     if frame_size % 2 != 0 or frame_size <= 0:
         raise ParameterError("frame_size must be even and positive")
@@ -209,19 +261,27 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
 
     num_frames = (audio.num_samples - frame_size) // hop + 1
     window = hann_periodic(frame_size)
+    # the kept bins (at or below f_max_hz) are a prefix of the rfft bins
+    bin_hz = audio.sample_rate / frame_size
+    num_keep = int(np.count_nonzero(np.arange(frame_size // 2 + 1) * bin_hz
+                                    <= f_max_hz + 1e-9))
 
-    strides = audio.samples.strides
+    samples = np.ascontiguousarray(audio.samples)
+    strides = samples.strides
     frames = np.lib.stride_tricks.as_strided(
-        audio.samples,
+        samples,
         shape=(audio.num_channels, num_frames, frame_size),
         strides=(strides[0], hop * strides[1], strides[1]),
         writeable=False,
     )
-    spectra = np.fft.rfft(frames * window, axis=-1)  # [M, T, F_full]
+    bins = np.empty((audio.num_channels, num_keep, num_frames), dtype=np.complex128)
 
-    bin_hz = audio.sample_rate / frame_size
-    full_freqs = np.arange(frame_size // 2 + 1) * bin_hz
-    keep = full_freqs <= f_max_hz + 1e-9
-    bins = np.ascontiguousarray(np.transpose(spectra[:, :, keep], (0, 2, 1)))
+    def transform(t0, t1):
+        spectra = np.fft.rfft(frames[:, t0:t1] * window, axis=-1)  # [M, Tc, F_full]
+        bins[:, :, t0:t1] = spectra[:, :, :num_keep].transpose(0, 2, 1)
+
+    # scratch per frame: the windowed frame and its full one-sided spectrum
+    unit_bytes = audio.num_channels * (8 * frame_size + 16 * (frame_size // 2 + 1))
+    _map_chunks(transform, num_frames, unit_bytes, _CHUNK_BYTES)
     return Spectrogram(bins=bins, sample_rate=audio.sample_rate,
                        frame_size=frame_size, hop=hop)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ParameterError, ShapeError
-from .signal import Spectrogram
+from .signal import _CHUNK_BYTES, Spectrogram, _map_chunks
 from .steering import (
     DoaGrid,
     NormalizedSVSet,
@@ -31,10 +31,8 @@ _ECF_THETAS = np.array([0.1, 0.5, 1.0, 2.0])
 _NUM_PROJECTIONS = 8
 _PROJECTION_SEED = 0x5EED
 _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
-# bytes of float64 phases per streamed chunk: the sketch and the alpha
-# estimate work one chunk at a time, so their scratch memory does not grow
-# with the number of frames (16 MB is near the fastest size measured)
-_CHUNK_BYTES = 16 * 2**20
+# the sketch and the alpha estimate read _CHUNK_BYTES (from .signal) at
+# call time as the bound on the phase scratch they hold at once
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
 _MAG_FLOOR = 1e-300
@@ -187,7 +185,9 @@ def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
 
     Both come from one tangent t = tan(h): cos = 2/(1+t^2) - 1 and
     sin = 2t/(1+t^2). ``weight`` (0/1, broadcast against ``half_phase``)
-    drops the terms it zeroes from both sums. ``half_phase`` is overwritten.
+    drops the terms it zeroes from both sums. ``half_phase`` is overwritten
+    and one more float64 array of its shape is allocated: 16 bytes of
+    scratch per phase.
     """
     t = np.tan(half_phase, out=half_phase)
     u = np.square(t)
@@ -195,6 +195,19 @@ def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
     np.divide(2.0 if weight is None else 2.0 * weight, u, out=u)
     count = t.shape[-1] if weight is None else weight.sum(axis=-1)
     return u.sum(axis=-1) - count, np.einsum("...t,...t->...", u, t)
+
+
+def _abs_median(y: np.ndarray) -> np.ndarray:
+    """Row medians of |y|, equal to ``np.median(np.abs(y), axis=1)``.
+
+    The mean of the middle one or two order statistics, as np.median takes
+    it, but without its extra partition that looks for NaN: ``y`` is finite.
+    """
+    mags = np.abs(y)
+    num = mags.shape[1]
+    kth = [num // 2] if num % 2 else [num // 2 - 1, num // 2]
+    mags.partition(kth, axis=1)
+    return mags[:, kth].mean(axis=1)
 
 
 def estimate_alpha(spec: Spectrogram) -> AlphaParam:
@@ -207,9 +220,10 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     |phi|, e.g. a constant signal) carries no tail information; if all
     projections degenerate the Gaussian edge 2.0 is returned.
 
-    All projections and thetas are evaluated together, streamed over the
-    samples in bounded chunks, with cos and sin of each phase taken from
-    one half-angle tangent.
+    The projections and all projection-theta pairs of the characteristic
+    function are streamed over the samples in bounded chunks (see
+    ``_map_chunks``), with cos and sin of each phase taken from one
+    half-angle tangent.
     """
     flat = spec.bins.reshape(spec.num_channels, -1)
     if spec.valid_mask is not None:
@@ -223,20 +237,34 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     proj = rng.standard_normal((_NUM_PROJECTIONS, spec.num_channels)) \
         + 1j * rng.standard_normal((_NUM_PROJECTIONS, spec.num_channels))
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
+    proj_h = proj.conj()
+    num = flat.shape[1]
 
-    y = np.real(proj.conj() @ flat)  # [D, n]
-    med = np.median(np.abs(y), axis=1, overwrite_input=True)
+    def project(s0, s1):  # Re(proj^H x) for samples s0..s1
+        part = (proj_h @ flat[:, s0:s1]).real
+        # a chunk keeps only its real part, never a whole complex product;
+        # one inline call returns its view, as the unchunked code did
+        return part if s1 - s0 == num else part.copy()
+
+    parts = _map_chunks(project, num, 16 * _NUM_PROJECTIONS, _CHUNK_BYTES)
+    y = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)  # [D, n]
+    del parts  # the chunk copies go before the median takes its moduli
+    med = _abs_median(y)
     live = med > 0
     if not live.any():
         return AlphaParam(_ALPHA_MAX)  # no projection has a scale to read
-    y = y[live] / med[live, None]  # [D', n]
+    if not live.all():
+        y = y[live]
+    # not in place: the peak (y and its moduli) is the same, and an
+    # in-place division raised the peak RSS of 1-s scenes by 3 MB (a
+    # different heap layout under the sketch's arrays)
+    y = y / med[live, None]  # [D', n]
     half_thetas = 0.5 * _ECF_THETAS[None, :, None]
-    num = y.shape[1]
-    step = max(1, _CHUNK_BYTES // (8 * y.shape[0] * _ECF_THETAS.size))
+    parts = _map_chunks(lambda s0, s1: _cos_sin_sums(half_thetas * y[:, None, s0:s1]),
+                        num, 16 * y.shape[0] * _ECF_THETAS.size, _CHUNK_BYTES)
     cos_sum = np.zeros((y.shape[0], _ECF_THETAS.size))
     sin_sum = np.zeros_like(cos_sum)
-    for s0 in range(0, num, step):
-        c, s = _cos_sin_sums(half_thetas * y[:, None, s0:s0 + step])
+    for c, s in parts:  # in chunk order, so the sums do not depend on threads
         cos_sum += c
         sin_sum += s
     phi = np.hypot(cos_sum, sin_sum) / num  # [D', K]
@@ -285,10 +313,11 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     unit-modulus terms never exceeds 1, so estimates are nonnegative; an
     exactly-zero average is floored at 1e-300 before the log.
 
-    The sketch streams over chunks of frames: each chunk's phases come from
-    one batched real matmul [F, L, 2M] @ [F, 2M, Tc] and their cos and sin
-    from one half-angle tangent, accumulated into [F, L] sums. Working
-    memory is bounded by ``_CHUNK_BYTES`` and does not grow with T.
+    The sketch streams over chunks of frames (see ``_map_chunks``): each
+    chunk's phases come from one batched real matmul [F, L, 2M] @
+    [F, 2M, Tc] and their cos and sin from one half-angle tangent, reduced
+    to [F, L] sums. Working memory is bounded by ``_CHUNK_BYTES`` and does
+    not grow with T.
     """
     if spec.num_freqs != svs.num_freqs or not np.allclose(spec.freqs_hz, svs.freqs_hz):
         raise ShapeError("spectrogram and SV set must share the frequency axis")
@@ -302,13 +331,16 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
     probes = (0.5 / 2.0 ** (1.0 / alpha.alpha)) * np.concatenate((a.real, a.imag), axis=2)
     mask = spec.valid_mask
-    step = max(1, _CHUNK_BYTES // (8 * num_freqs * num_dirs))
+
+    def chunk_sums(t0, t1):
+        x = spec.bins[:, :, t0:t1].transpose(1, 0, 2)  # [F, M, Tc]
+        half = probes @ np.concatenate((x.real, x.imag), axis=1)  # [F, L, Tc]
+        return _cos_sin_sums(half, None if mask is None else mask[:, None, t0:t1])
+
+    parts = _map_chunks(chunk_sums, num_frames, 16 * num_freqs * num_dirs, _CHUNK_BYTES)
     cos_sum = np.zeros((num_freqs, num_dirs))
     sin_sum = np.zeros_like(cos_sum)
-    for t0 in range(0, num_frames, step):
-        x = spec.bins[:, :, t0:t0 + step].transpose(1, 0, 2)  # [F, M, Tc]
-        half = probes @ np.concatenate((x.real, x.imag), axis=1)  # [F, L, Tc]
-        c, s = _cos_sin_sums(half, None if mask is None else mask[:, None, t0:t0 + step])
+    for c, s in parts:  # in chunk order, so the sums do not depend on threads
         cos_sum += c
         sin_sum += s
     counts = num_frames if mask is None else np.maximum(mask.sum(axis=1), 1)[:, None]

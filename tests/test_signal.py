@@ -1,14 +1,19 @@
 """Tests for WAV ingestion and the STFT front end."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from shamans import signal
 from shamans.errors import FormatError, ParameterError, TruncationError
 from shamans.signal import (
     AudioBuffer,
     Spectrogram,
+    _map_chunks,
     hann_periodic,
     read_wav,
     stft,
@@ -83,6 +88,83 @@ class TestReadWav:
         path.write_bytes(b"RIFFxxxxJUNK" + b"\x00" * 50)
         with pytest.raises(FormatError):
             read_wav(path)
+
+
+def seed_wav_samples(payload, dtype, scale, channels):
+    """Reference decode: cast and scale the flat payload, then transpose."""
+    raw = np.frombuffer(payload, dtype=dtype).astype(np.float64) * scale
+    return raw.reshape(-1, channels).T
+
+
+class TestReadWavEquivalence:
+    @pytest.mark.parametrize("channels", [1, 6])
+    @pytest.mark.parametrize("frames", [1, 7, 4801])
+    def test_pcm16_matches_seed_decode(self, tmp_path, channels, frames):
+        rng = np.random.default_rng(frames + channels)
+        ints = rng.integers(-32768, 32768, (channels, frames)).astype(np.int16)
+        blob = make_wav_bytes(ints, 48000, 1, 16)
+        path = tmp_path / "p.wav"
+        path.write_bytes(blob)
+        got = read_wav(path).samples
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, seed_wav_samples(blob[44:], "<i2", 1.0 / 32768.0, channels))
+
+    @pytest.mark.parametrize("channels", [1, 6])
+    @pytest.mark.parametrize("frames", [1, 7, 4801])
+    def test_float32_matches_seed_decode(self, tmp_path, channels, frames):
+        rng = np.random.default_rng(frames * channels)
+        blob = make_wav_bytes(rng.standard_normal((channels, frames)), 48000, 3, 32)
+        path = tmp_path / "f.wav"
+        path.write_bytes(blob)
+        got = read_wav(path).samples
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, seed_wav_samples(blob[44:], "<f4", 1.0, channels))
+
+    def test_empty_data_chunk_is_format_error(self, tmp_path):
+        path = tmp_path / "e.wav"
+        path.write_bytes(make_wav_bytes(np.zeros((2, 0), dtype=np.int16), 8000, 1, 16))
+        with pytest.raises(FormatError):
+            read_wav(path)
+
+
+def mutated_wav(data):
+    """A valid PCM16 or float32 WAV, then truncated and with bytes rewritten."""
+    channels = data.draw(st.integers(1, 4))
+    frames = data.draw(st.integers(0, 12))
+    fmt_tag = data.draw(st.sampled_from([1, 3]))
+    payload = data.draw(st.binary(min_size=channels * frames * (2 if fmt_tag == 1 else 4),
+                                  max_size=channels * frames * (2 if fmt_tag == 1 else 4)))
+    bits = 16 if fmt_tag == 1 else 32
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", fmt_tag, channels, 8000, 8000 * block, block, bits)
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    blob = bytearray(b"RIFF" + struct.pack("<I", len(body)) + body)
+    for _ in range(data.draw(st.integers(0, 3))):
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        patch = data.draw(st.binary(min_size=1, max_size=4))
+        blob[pos:pos + len(patch)] = patch
+    cut = data.draw(st.one_of(st.none(), st.integers(0, len(blob))))
+    return bytes(blob[:cut])
+
+
+class TestReadWavFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_valid_buffer_or_typed_error(self, tmp_path, data):
+        path = tmp_path / "fuzz.wav"
+        path.write_bytes(mutated_wav(data))
+        try:
+            buf = read_wav(path)
+        except (FormatError, TruncationError):
+            return
+        except ParameterError as exc:
+            assert "non-finite" in str(exc)  # a float payload holding NaN or inf
+            return
+        assert buf.samples.dtype == np.float64 and buf.samples.flags.c_contiguous
+        assert buf.num_channels >= 1 and buf.num_samples >= 1 and buf.sample_rate >= 1
+        assert np.all(np.isfinite(buf.samples))
 
 
 def dft_oracle_frame(frame):
@@ -175,3 +257,96 @@ class TestStft:
         sg = Spectrogram(bins=np.ones((1, 4, 3), dtype=complex), sample_rate=48000,
                          frame_size=768, hop=384, first_bin=2)
         assert np.allclose(sg.freqs_hz, [125.0, 187.5, 250.0, 312.5])
+
+
+def seed_stft_bins(audio, frame_size, hop, f_max_hz):
+    """Reference: window and rfft all frames at once, then keep and transpose."""
+    num_frames = (audio.num_samples - frame_size) // hop + 1
+    strides = audio.samples.strides
+    frames = np.lib.stride_tricks.as_strided(
+        audio.samples, shape=(audio.num_channels, num_frames, frame_size),
+        strides=(strides[0], hop * strides[1], strides[1]), writeable=False)
+    spectra = np.fft.rfft(frames * hann_periodic(frame_size), axis=-1)
+    keep = np.arange(frame_size // 2 + 1) * (audio.sample_rate / frame_size) <= f_max_hz + 1e-9
+    return np.ascontiguousarray(np.transpose(spectra[:, :, keep], (0, 2, 1)))
+
+
+class TestChunkedStft:
+    """The chunked STFT against the one-shot seed code."""
+
+    FRAME, HOP, CHANNELS = 64, 32, 3
+    CHUNK = 3  # frames per chunk under the patched budget below
+    INLINE = signal._MAX_THREADS * CHUNK  # most frames done in one inline call
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        # scratch per frame: each channel's windowed frame and its spectrum
+        unit = self.CHANNELS * (8 * self.FRAME + 16 * (self.FRAME // 2 + 1))
+        monkeypatch.setattr(signal, "_CHUNK_BYTES", self.INLINE * unit)
+
+    def audio(self, num_frames, seed=0):
+        # a few samples past the last frame, which the STFT drops
+        num_samples = (num_frames - 1) * self.HOP + self.FRAME + 5
+        rng = np.random.default_rng(seed)
+        return AudioBuffer(rng.standard_normal((self.CHANNELS, num_samples)), 16000)
+
+    @pytest.mark.parametrize("num_frames", [1, INLINE - 1, INLINE, INLINE + 1,
+                                            5 * CHUNK - 1, 5 * CHUNK, 5 * CHUNK + 1,
+                                            7 * CHUNK + 2])
+    def test_matches_seed_stft(self, num_frames):
+        audio = self.audio(num_frames)
+        sg = stft(audio, self.FRAME, self.HOP, 5000.0)
+        assert sg.num_frames == num_frames
+        assert np.array_equal(sg.bins, seed_stft_bins(audio, self.FRAME, self.HOP, 5000.0))
+
+    def test_non_contiguous_samples(self):
+        audio = self.audio(4 * self.INLINE)
+        audio.samples = np.asfortranarray(audio.samples)
+        assert np.array_equal(stft(audio, self.FRAME, self.HOP, 5000.0).bins,
+                              seed_stft_bins(audio, self.FRAME, self.HOP, 5000.0))
+
+    def test_same_bits_on_any_thread_count(self, thread_counts):
+        audio = self.audio(9 * self.CHUNK + 1, seed=1)
+        serial, threaded, pools = thread_counts(
+            lambda: stft(audio, self.FRAME, self.HOP, 5000.0).bins)
+        assert pools == {"1": [], "4": [4]}
+        assert np.array_equal(serial, threaded)
+
+
+def test_input_within_budget_starts_no_thread(no_threads):
+    audio = AudioBuffer(np.random.default_rng(5).standard_normal((6, 48000)), 48000)
+    assert stft(audio, 768, 384, 8000.0).num_frames == 124
+
+
+def test_map_chunks_covers_range_in_order(thread_counts):
+    serial, threaded, pools = thread_counts(
+        lambda: _map_chunks(lambda a, b: (a, b), 10, 3, 8))
+    # chunks of 8 // 4 // 3 -> 1 item each, in order, on any thread count
+    assert serial == threaded == [(i, i + 1) for i in range(10)]
+    assert pools == {"1": [], "4": [4]}
+    assert _map_chunks(lambda a, b: (a, b), 10, 3, 30) == [(0, 10)]
+
+
+@pytest.mark.parametrize("cap, workers", [("1", 1), ("0", 1), ("64", 8), ("", 8)])
+def test_num_workers_rule(monkeypatch, cap, workers):
+    monkeypatch.setattr(signal.os, "cpu_count", lambda: 8)
+    monkeypatch.setenv("SHAMANS_THREADS", cap)
+    assert signal._num_workers() == workers
+
+
+def test_num_workers_rejects_non_integer_cap(monkeypatch):
+    monkeypatch.setenv("SHAMANS_THREADS", "many")
+    with pytest.raises(ParameterError, match="SHAMANS_THREADS"):
+        signal._num_workers()
+
+
+def test_peak_memory_within_output_plus_budget():
+    audio = AudioBuffer(np.random.default_rng(6).standard_normal((6, 20 * 48000)), 48000)
+    tracemalloc.start()
+    try:
+        sg = stft(audio, 768, 384, 8000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the one-shot transform held about 184 MB of windowed frames and spectra
+    assert peak < sg.bins.nbytes + signal._CHUNK_BYTES

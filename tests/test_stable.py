@@ -122,6 +122,13 @@ class TestEstimateAlpha:
         spec = spectrogram_from_samples(x, n_channels=2)
         assert abs(estimate_alpha(spec).alpha - seed_estimate_alpha(spec)) <= 1e-12
 
+    @pytest.mark.parametrize("num", [1, 2, 101, 1000])
+    def test_partition_median_matches_np_median(self, num):
+        rng = np.random.default_rng(num)
+        y = rng.standard_normal((8, num))
+        y[:, ::3] = np.round(y[:, ::3])  # ties, zeros and both signs
+        assert np.array_equal(stable._abs_median(y), np.median(np.abs(y), axis=1))
+
 
 def seed_estimate_alpha(spec):
     """Reference: one projection at a time, CF moduli from complex exp."""
@@ -352,6 +359,51 @@ class TestStreamedSketch:
         assert np.all(i_hat >= 0)
         for other in (flipped, shuffled):
             assert np.max(np.abs(cf_modulus(other) - cf_modulus(i_hat))) <= 1e-12
+
+
+class TestThreadedFrontEnd:
+    """Threaded chunks give the bits of the serial ones; small inputs stay inline."""
+
+    def test_sketch_same_bits_on_any_thread_count(self, monkeypatch, thread_counts):
+        # 4 frames of 5 directions x 4 bins per chunk, 16 frames inline
+        monkeypatch.setattr(stable, "_CHUNK_BYTES", 16 * 5 * 4 * 16)
+        spec, svs = random_levy_inputs(7, 61, 1.0, True)
+        serial, threaded, pools = thread_counts(
+            lambda: levy_estimator(spec, svs, AlphaParam(1.5)))
+        assert pools == {"1": [], "4": [4]}
+        assert np.array_equal(serial, threaded)
+        assert np.max(np.abs(serial - seed_levy(spec, svs, AlphaParam(1.5)))) <= 1e-12
+
+    def test_alpha_same_bits_on_any_thread_count(self, monkeypatch, thread_counts):
+        # the projection runs in chunks of 500 samples, the CF sums of 125
+        monkeypatch.setattr(stable, "_CHUNK_BYTES", 16 * 8 * 4 * 500)
+        spec = spectrogram_from_samples(sample_sas(1.2, 1.0, 2 * 20_001, 77), n_channels=2)
+        serial, threaded, pools = thread_counts(lambda: estimate_alpha(spec).alpha)
+        assert pools == {"1": [], "4": [4, 4]}
+        assert serial == threaded
+        assert abs(serial - seed_estimate_alpha(spec)) <= 1e-12
+
+    def test_one_second_scene_starts_no_thread(self, no_threads):
+        _, params, svs = make_scene_setup(seed=9)
+        sg, _ = synth_scene(SceneSpec(source_indices=[5, 30], seed=10, snr_db=20.0),
+                            svs, params)
+        assert sg.num_frames >= 124
+        shamans_localize(sg, svs, SolverConfig(iterations=5))
+
+    def test_peak_memory_of_alpha_estimate(self):
+        rng = np.random.default_rng(11)
+        shape = (6, 129, 2500)  # a 20-s, 6-channel STFT: 31 MB
+        spec = Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                           48000, 768, 384)
+        tracemalloc.start()
+        try:
+            estimate_alpha(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the real [8, n] projections and their moduli for the median take
+        # 21 MB each; holding the whole complex [8, n] product took 83 MB
+        assert peak < 50e6
 
 
 class TestBuildPsi:

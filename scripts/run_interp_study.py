@@ -39,8 +39,7 @@ def run(argv=None):
 
     grid = DoaGrid.uniform(60, 1.7)
     params = StftParams()
-    bin_hz = params.sample_rate / params.frame_size
-    freqs = np.arange(int(params.f_max_hz / bin_hz) + 1) * bin_hz
+    freqs = params.freqs_hz
     geometry = ArrayGeometry.random_array(6, 0.18, seed=5)
     field = synthetic_measured_svs(geometry, grid.radius_m, freqs, seed=21)
     ref = field.on_grid(grid)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import json
 import sys
 import traceback
@@ -128,19 +127,13 @@ def build_array(config: dict) -> ArrayGeometry:
                                       seed=int(seed))
 
 
-def stft_freqs(params: StftParams) -> np.ndarray:
-    bin_hz = params.sample_rate / params.frame_size
-    count = int(np.floor(params.f_max_hz / bin_hz + 1e-9)) + 1
-    return np.arange(count) * bin_hz
-
-
 def build_field(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
                 params: StftParams) -> scenes.SyntheticSvField:
     f = config["field"]
     seed = f.get("seed")
     if seed is None:
         seed = derive_seed(config["seed"], "field")
-    return synthetic_measured_svs(geometry, grid.radius_m, stft_freqs(params),
+    return synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
                                   seed=int(seed), degree=int(f.get("degree", 8)),
                                   perturb_strength=float(f.get("perturb_strength", 0.15)))
 
@@ -152,7 +145,7 @@ def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
     path = config["sv"].get("path")
     if model == "alg":
         geometry = geometry or build_array(config)
-        return algebraic_svs(geometry, grid, stft_freqs(params))
+        return algebraic_svs(geometry, grid, params.freqs_hz)
     if model == "ref":
         if path is not None:
             return load_svset(path)
@@ -162,7 +155,7 @@ def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
         if path is None:
             raise ParameterError("sv.path must point to a fit artifact")
         fitted = load_fit_artifact(path)
-        return interp_svs(fitted, grid, stft_freqs(params))
+        return interp_svs(fitted, grid, params.freqs_hz)
     raise ParameterError(f"unknown sv model {model!r}")
 
 
@@ -256,7 +249,7 @@ def cmd_simulate(args) -> int:
         save_svset(field.on_grid(grid), out / "ref.svst")
         print(f"wrote {out / 'ref.svst'}")
     if args.emit_alg_svset:
-        save_svset(algebraic_svs(geometry, grid, stft_freqs(params)), out / "alg.svst")
+        save_svset(algebraic_svs(geometry, grid, params.freqs_hz), out / "alg.svst")
         print(f"wrote {out / 'alg.svst'}")
 
     base = scenes.scene_from_dict(config["scene"])
@@ -264,23 +257,6 @@ def cmd_simulate(args) -> int:
     batch = scene_batch(base, {}, args.count, len(grid))
     for i, spec in enumerate(batch):
         save_scene(spec, out / f"scene_{i:04d}.json")
-    if args.dump_spectrograms:
-        from .steering import write_svset_raw
-
-        ref = build_field(config, geometry, grid, params).on_grid(grid)
-        for i, spec in enumerate(batch):
-            sg, _truth = synth_scene(spec, ref, params)
-            path = out / f"scene_{i:04d}.spec.svst"
-            # debugging dump: payload [M, F, T], channel indices in the
-            # azimuth slot and frame times in the frequency slot
-            frame_times = np.arange(sg.num_frames) * (params.hop / params.sample_rate)
-            write_svset_raw(path, sg.bins, np.arange(sg.num_channels),
-                            frame_times, 0.0, 0.0, 0)
-            path.with_suffix(".json").write_text(json.dumps({
-                "kind": "spectrogram", "channels": sg.num_channels,
-                "freq_bins": sg.num_freqs, "frames": sg.num_frames,
-                "sample_rate": sg.sample_rate, "frame_size": sg.frame_size,
-                "hop": sg.hop}, sort_keys=True, indent=1))
     print(f"wrote {len(batch)} scene specs to {out}")
     return EXIT_OK
 
@@ -365,7 +341,8 @@ def _sweep_one(task):
     config, scene_doc, axis, value, scene_id, methods, sv_models, artifacts = task
 
     def error_row(method, sv_model, n_true, status):
-        return (scene_id, axis, value, method, sv_model, n_true, 0, [], None, status)
+        return evaluate.SweepRow(scene_id, axis, value, method, sv_model, n_true,
+                                 status=status)
 
     try:
         params = build_stft_params(config)
@@ -388,10 +365,10 @@ def _sweep_one(task):
             if sv_model == "ref":
                 svs = ref
             elif sv_model == "alg":
-                svs = algebraic_svs(geometry, grid, stft_freqs(params))
+                svs = algebraic_svs(geometry, grid, params.freqs_hz)
             else:
                 svs = interp_svs(load_fit_artifact(artifacts[sv_model]), grid,
-                                 stft_freqs(params))
+                                 params.freqs_hz)
         except Exception as exc:
             status = _fault_status("sv-error", exc)
             rows.extend(error_row(method, sv_model, n_true, status) for method in methods)
@@ -399,9 +376,10 @@ def _sweep_one(task):
         for method in methods:
             try:
                 res = _localize_once(config, spectrogram, svs, truth, method)
-                rows.append((scene_id, axis, value, method, sv_model, n_true,
-                             len(res["peaks"]), res.get("errors_deg", []),
-                             res.get("acc15"), "ok"))
+                rows.append(evaluate.SweepRow(
+                    scene_id, axis, value, method, sv_model, n_true,
+                    n_est=len(res["peaks"]), errors_deg=res.get("errors_deg", []),
+                    acc15=res.get("acc15")))
             except Exception as exc:
                 rows.append(error_row(method, sv_model, n_true,
                                       _fault_status("error", exc)))
@@ -434,7 +412,6 @@ def cmd_sweep(args) -> int:
                 raise ParameterError(f"sv.path needed for sv model {sv_model!r}")
             artifacts[sv_model] = path
 
-    per_point = len(values) if axis else 1
     tasks = []
     for j, spec in enumerate(batch):
         value = values[j // args.count] if axis else ""
@@ -449,57 +426,16 @@ def cmd_sweep(args) -> int:
         all_rows = [_sweep_one(t) for t in tasks]
 
     flat = [row for rows in all_rows for row in rows]
-    flat.sort(key=lambda r: (r[1], r[2], r[0], r[3], r[4]))
+    flat.sort(key=lambda r: (r.axis, r.value, r.scene_id, r.method, r.sv_model))
     detail = out / "detail.csv"
-    with open(detail, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scene_id", "axis", "value", "method", "sv_model",
-                         "n_true", "n_est", "err_mean_deg", "err_deg_per_source",
-                         "acc15", "status"])
-        for sid, ax, val, method, sv_model, n_true, n_est, errs, acc, status in flat:
-            writer.writerow([
-                sid, ax, val, method, sv_model, n_true, n_est,
-                f"{np.mean(errs):.6f}" if errs else "",
-                ";".join(f"{e:.6f}" for e in errs),
-                f"{acc:.6f}" if acc is not None else "", status])
-    _write_summary(flat, out / "summary.csv")
+    evaluate.write_detail(flat, detail)
+    evaluate.write_summary(flat, out / "summary.csv")
     print(f"wrote {detail} ({len(flat)} rows)")
     return EXIT_OK
 
 
-def _write_summary(flat, path) -> None:
-    groups: dict = {}
-    for sid, ax, val, method, sv_model, n_true, n_est, errs, acc, status in flat:
-        if status != "ok":
-            continue
-        groups.setdefault((ax, val, method, sv_model), []).append((errs, acc))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["axis", "value", "method", "sv_model", "scenes",
-                         "err_mean_deg", "err_std_deg", "acc15_mean"])
-        for (ax, val, method, sv_model), grp in sorted(groups.items(),
-                                                       key=lambda kv: tuple(map(str, kv[0]))):
-            errs = np.concatenate([np.asarray(e) for e, _ in grp if e]) \
-                if any(e for e, _ in grp) else np.empty(0)
-            accs = [a for _, a in grp if a is not None]
-            writer.writerow([
-                ax, val, method, sv_model, len(grp),
-                f"{errs.mean():.6f}" if errs.size else "",
-                f"{errs.std():.6f}" if errs.size else "",
-                f"{np.mean(accs):.6f}" if accs else ""])
-
-
 def cmd_report(args) -> int:
-    with open(args.detail, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        flat = []
-        for row in reader:
-            errs = [float(e) for e in row["err_deg_per_source"].split(";") if e]
-            acc = float(row["acc15"]) if row["acc15"] else None
-            flat.append((row["scene_id"], row["axis"], row["value"], row["method"],
-                         row["sv_model"], int(row["n_true"]), int(row["n_est"]),
-                         errs, acc, row["status"]))
-    _write_summary(flat, args.out)
+    evaluate.write_summary(evaluate.read_detail(args.detail), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -530,8 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--emit-ref-svset", action="store_true")
     p_sim.add_argument("--emit-alg-svset", action="store_true")
-    p_sim.add_argument("--dump-spectrograms", dest="dump_spectrograms",
-                       action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_loc = sub.add_parser("localize", help="run one localizer on a scene or WAV")

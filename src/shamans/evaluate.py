@@ -1,8 +1,9 @@
 """Metrics and decision procedures for localization results.
 
 Circular angular error, thresholded peak picking on normalized spectra,
-optimal truth-to-estimate assignment, accuracy at an error threshold, and
-ROC-AUC for source-count classification by peak counting.
+optimal truth-to-estimate assignment, accuracy at an error threshold,
+ROC-AUC for source-count classification by peak counting, and the sweep's
+per-row and summary CSVs.
 """
 
 from __future__ import annotations
@@ -60,14 +61,15 @@ def pick_peaks(spectrum, threshold: float, min_sep_cells: int = 2,
     for i in order:
         if len(picked) >= max_peaks:
             break
-        if all(circ_dist(i, j, n) > min_sep_cells for j, _ in picked):
+        if all(circular_cell_distance(i, j, n) > min_sep_cells for j, _ in picked):
             picked.append((int(i), float(spectrum[i])))
     return picked
 
 
-def circ_dist(i: int, j: int, n: int) -> int:
-    d = abs(i - j) % n
-    return min(d, n - d)
+def circular_cell_distance(i: int, j: int, num_cells: int) -> int:
+    """Cells between grid indices i and j on a ring of ``num_cells``."""
+    d = abs(i - j) % num_cells
+    return min(d, num_cells - d)
 
 
 def hungarian_assign(cost) -> tuple:
@@ -153,82 +155,70 @@ def auc_source_count(spectra, true_counts, target_n: int, thresholds,
 
 
 @dataclass
-class LocalizationResult:
-    """Normalized spectrum plus its picked peaks for one scene."""
-
-    spectrum: np.ndarray
-    picked_peaks: list = field(default_factory=list)
-
-    def peak_indices(self) -> list:
-        return [i for i, _ in self.picked_peaks]
-
-
-@dataclass
-class SceneMetrics:
-    """One evaluated (scene, method, sv_model) combination."""
+class SweepRow:
+    """One evaluated (scene, method, SV model) combination of a sweep: a
+    line of ``detail.csv``. ``value`` is the swept axis value, "" without an
+    axis; a failed step leaves no errors and its message in ``status``."""
 
     scene_id: str
+    axis: str
+    value: float | str
     method: str
     sv_model: str
     n_true: int
-    n_est: int
-    errors_deg: list
-    acc15: float | None
-    auc: float | None = None  # batch-level; repeated on member rows
+    n_est: int = 0
+    errors_deg: list = field(default_factory=list)
+    acc15: float | None = None
     status: str = "ok"
 
-    def mean_error(self) -> float | None:
-        return float(np.mean(self.errors_deg)) if self.errors_deg else None
 
-
-def metrics_to_csv(rows, path) -> None:
-    """Flat per-scene CSV (RFC 4180, UTF-8)."""
+def write_detail(rows, path) -> None:
+    """Per-row CSV (RFC 4180, UTF-8), errors and acc15 to six decimals."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scene_id", "method", "sv_model", "n_true", "n_est",
-                         "err_mean_deg", "err_max_deg", "err_deg_per_source",
-                         "acc15", "auc", "status"])
+        writer.writerow(["scene_id", "axis", "value", "method", "sv_model", "n_true",
+                         "n_est", "err_mean_deg", "err_deg_per_source", "acc15", "status"])
         for r in rows:
-            errs = ";".join(f"{e:.6f}" for e in r.errors_deg)
-            mean_e = f"{np.mean(r.errors_deg):.6f}" if r.errors_deg else ""
-            max_e = f"{np.max(r.errors_deg):.6f}" if r.errors_deg else ""
-            acc = f"{r.acc15:.6f}" if r.acc15 is not None else ""
-            auc = f"{r.auc:.6f}" if r.auc is not None else ""
-            writer.writerow([r.scene_id, r.method, r.sv_model, r.n_true,
-                             r.n_est, mean_e, max_e, errs, acc, auc, r.status])
+            errs = r.errors_deg
+            writer.writerow([
+                r.scene_id, r.axis, r.value, r.method, r.sv_model, r.n_true, r.n_est,
+                f"{np.mean(errs):.6f}" if errs else "",
+                ";".join(f"{e:.6f}" for e in errs),
+                f"{r.acc15:.6f}" if r.acc15 is not None else "", r.status])
 
 
-def metrics_to_json(rows, path, extra: dict | None = None) -> None:
-    doc = {"scenes": [{
-        "scene_id": r.scene_id, "method": r.method, "sv_model": r.sv_model,
-        "n_true": r.n_true, "n_est": r.n_est, "errors_deg": list(r.errors_deg),
-        "acc15": r.acc15, "auc": r.auc, "status": r.status} for r in rows]}
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
+def read_detail(path) -> list:
+    """The rows of a ``write_detail`` CSV, axis values back as floats."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [SweepRow(
+            scene_id=rec["scene_id"], axis=rec["axis"],
+            value=float(rec["value"]) if rec["value"] else "",
+            method=rec["method"], sv_model=rec["sv_model"],
+            n_true=int(rec["n_true"]), n_est=int(rec["n_est"]),
+            errors_deg=[float(e) for e in rec["err_deg_per_source"].split(";") if e],
+            acc15=float(rec["acc15"]) if rec["acc15"] else None,
+            status=rec["status"]) for rec in csv.DictReader(fh)]
 
 
-def summarize(rows) -> list:
-    """Group rows by (method, sv_model) into mean/std aggregates."""
+def write_summary(rows, path) -> None:
+    """Mean and std of the pooled errors and mean acc15 of the ok rows per
+    (axis, value, method, SV model), in that order, values numerically."""
     groups: dict = {}
     for r in rows:
-        if r.status != "ok":
-            continue
-        groups.setdefault((r.method, r.sv_model), []).append(r)
-    out = []
-    for (method, sv_model), grp in sorted(groups.items()):
-        errs = np.concatenate([np.asarray(r.errors_deg) for r in grp
-                               if r.errors_deg]) if any(r.errors_deg for r in grp) else np.empty(0)
-        accs = [r.acc15 for r in grp if r.acc15 is not None]
-        out.append({
-            "method": method,
-            "sv_model": sv_model,
-            "scenes": len(grp),
-            "err_mean_deg": float(errs.mean()) if errs.size else None,
-            "err_std_deg": float(errs.std()) if errs.size else None,
-            "acc15_mean": float(np.mean(accs)) if accs else None,
-        })
-    return out
+        if r.status == "ok":
+            groups.setdefault((r.axis, r.value, r.method, r.sv_model), []).append(r)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["axis", "value", "method", "sv_model", "scenes",
+                         "err_mean_deg", "err_std_deg", "acc15_mean"])
+        for key, grp in sorted(groups.items()):
+            errs = np.asarray([e for r in grp for e in r.errors_deg], dtype=np.float64)
+            accs = [r.acc15 for r in grp if r.acc15 is not None]
+            writer.writerow([
+                *key, len(grp),
+                f"{errs.mean():.6f}" if errs.size else "",
+                f"{errs.std():.6f}" if errs.size else "",
+                f"{np.mean(accs):.6f}" if accs else ""])
 
 
 def save_spectrum_csv(azimuths_deg, values, path, method_tag: str,

@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SceneSpecError, ShapeError
+from .evaluate import circular_cell_distance
 from .interp import SparseSvMeasurements, fibonacci_sphere, sh_matrix
 from .signal import AudioBuffer, Spectrogram, StftParams, read_wav, stft
 from .stable import sample_sas
-from .steering import SPEED_OF_SOUND, ArrayGeometry, DoaGrid, SteeringVectorSet
+from .steering import ArrayGeometry, DoaGrid, SteeringVectorSet, free_field
 
 _STREAM_SOURCE = 0x51
 _STREAM_NOISE = 0x52
@@ -86,11 +87,6 @@ class SceneTruth:
     azimuths_deg: np.ndarray
     indices: np.ndarray
     realized_snr_db: float | None
-
-
-def circular_cell_distance(i: int, j: int, num_cells: int) -> int:
-    d = abs(i - j) % num_cells
-    return min(d, num_cells - d)
 
 
 def _check_separation(indices, num_cells: int, min_sep: int) -> None:
@@ -159,10 +155,8 @@ def synth_scene(spec: SceneSpec, svs: SteeringVectorSet,
         raise SceneSpecError("scene too short for one STFT frame")
     num_frames = (num_samples - params.frame_size) // params.hop + 1
 
-    bin_hz = params.sample_rate / params.frame_size
-    expect_f = int(np.floor(params.f_max_hz / bin_hz + 1e-9)) + 1
-    if svs.num_freqs != expect_f or not np.allclose(
-            svs.freqs_hz, np.arange(expect_f) * bin_hz):
+    freqs_hz = params.freqs_hz
+    if svs.num_freqs != freqs_hz.size or not np.allclose(svs.freqs_hz, freqs_hz):
         raise ShapeError("SV frequency axis does not match the STFT settings")
 
     m, f, t = svs.num_mics, svs.num_freqs, num_frames
@@ -376,7 +370,7 @@ def synthetic_measured_svs(geometry: ArrayGeometry, radius_m: float, freqs_hz,
     """Build a synthetic measured SV field around a microphone array."""
     freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
     design = fibonacci_sphere(design_points)
-    design_grid_vals = _free_field_at(geometry, radius_m * design, freqs_hz)
+    design_grid_vals = free_field(geometry, radius_m * design, freqs_hz)
 
     rng = np.random.default_rng(seed)
     perturb_deg = 2
@@ -391,12 +385,3 @@ def synthetic_measured_svs(geometry: ArrayGeometry, radius_m: float, freqs_hz,
     p = (degree + 1) ** 2
     return SyntheticSvField(coeffs=coeffs.reshape(p, geometry.num_mics, freqs_hz.size),
                             freqs_hz=freqs_hz, degree=degree)
-
-
-def _free_field_at(geometry: ArrayGeometry, positions: np.ndarray,
-                   freqs_hz: np.ndarray) -> np.ndarray:
-    """Green's-function SVs at arbitrary source positions, [N, M, F]."""
-    diff = positions[:, None, :] - geometry.mic_positions[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)
-    phase = -2.0j * np.pi * r[:, :, None] * freqs_hz[None, None, :] / SPEED_OF_SOUND
-    return np.exp(phase) / (4.0 * np.pi * r[:, :, None])

@@ -135,6 +135,12 @@ class Spectrogram:
         return (self.first_bin + np.arange(self.num_freqs)) * (self.sample_rate / self.frame_size)
 
 
+def band_bin_count(sample_rate: int, frame_size: int, f_max_hz: float) -> int:
+    """Number of one-sided STFT bins k * sample_rate / frame_size at or
+    below ``f_max_hz``; the analysis band is this prefix of the rfft bins."""
+    return int(np.floor(f_max_hz / (sample_rate / frame_size) + 1e-9)) + 1
+
+
 @dataclass
 class StftParams:
     """Analysis settings shared by the simulator and the CLI."""
@@ -143,6 +149,12 @@ class StftParams:
     hop: int = 384
     f_max_hz: float = 8000.0
     sample_rate: int = 48000
+
+    @property
+    def freqs_hz(self) -> np.ndarray:
+        """Frequencies of the kept bins, as ``Spectrogram.freqs_hz`` gives them."""
+        count = band_bin_count(self.sample_rate, self.frame_size, self.f_max_hz)
+        return np.arange(count) * (self.sample_rate / self.frame_size)
 
 
 def _parse_fmt_chunk(body: bytes):
@@ -261,10 +273,7 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
 
     num_frames = (audio.num_samples - frame_size) // hop + 1
     window = hann_periodic(frame_size)
-    # the kept bins (at or below f_max_hz) are a prefix of the rfft bins
-    bin_hz = audio.sample_rate / frame_size
-    num_keep = int(np.count_nonzero(np.arange(frame_size // 2 + 1) * bin_hz
-                                    <= f_max_hz + 1e-9))
+    num_keep = band_bin_count(audio.sample_rate, frame_size, f_max_hz)
 
     samples = np.ascontiguousarray(audio.samples)
     strides = samples.strides

@@ -159,29 +159,29 @@ class NormalizedSVSet(SteeringVectorSet):
     """SV set whose every (l, f) vector equals a / ||a||_2^2."""
 
 
-def algebraic_svs(geometry: ArrayGeometry, grid: DoaGrid, freqs_hz,
-                  speed_of_sound: float = SPEED_OF_SOUND) -> SteeringVectorSet:
-    """Free-field point-source steering vectors on a grid.
+def free_field(geometry: ArrayGeometry, positions: np.ndarray,
+               freqs_hz: np.ndarray) -> np.ndarray:
+    """Free-field Green's function from source positions [N, 3] to every
+    microphone, [N, M, F]: exp(-i 2 pi f r / c) / (4 pi r) with r the
+    source-microphone distance."""
+    diff = positions[:, None, :] - geometry.mic_positions[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)  # [N, M]
+    if np.any(r == 0):
+        raise GeometryError("a source position coincides with a microphone")
+    phase = -2.0j * np.pi * r[:, :, None] * freqs_hz[None, None, :] / SPEED_OF_SOUND
+    return np.exp(phase) / (4.0 * np.pi * r[:, :, None])
 
-    Entry (l, m, f) is exp(-i 2 pi f r_lm / c) / (4 pi r_lm) with r_lm the
-    distance from grid point l to microphone m.
-    """
+
+def algebraic_svs(geometry: ArrayGeometry, grid: DoaGrid, freqs_hz) -> SteeringVectorSet:
+    """Free-field point-source steering vectors on a grid (see ``free_field``)."""
     freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
     if np.any(freqs_hz < 0):
         raise ParameterError("frequencies must be nonnegative")
     mic_radii = np.linalg.norm(geometry.mic_positions, axis=1)
     if grid.radius_m <= np.max(mic_radii):
         raise GeometryError("grid radius must exceed the farthest microphone")
-
-    diff = grid.positions()[:, None, :] - geometry.mic_positions[None, :, :]
-    r = np.linalg.norm(diff, axis=-1)  # [L, M]
-    if np.any(r == 0):
-        raise GeometryError("a grid point coincides with a microphone")
-
-    phase = -2.0j * np.pi * r[:, :, None] * freqs_hz[None, None, :] / speed_of_sound
-    values = np.exp(phase) / (4.0 * np.pi * r[:, :, None])
-    return SteeringVectorSet(values=values, grid=grid, freqs_hz=freqs_hz,
-                             source_tag="algebraic")
+    return SteeringVectorSet(values=free_field(geometry, grid.positions(), freqs_hz),
+                             grid=grid, freqs_hz=freqs_hz, source_tag="algebraic")
 
 
 def normalize_svs(svs: SteeringVectorSet) -> NormalizedSVSet:

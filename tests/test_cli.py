@@ -3,6 +3,8 @@
 import copy
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +196,15 @@ class TestSweep:
         assert self.run_sweep(small_config, out2, monkeypatch, threads="2") == 0
         assert (out1 / "detail.csv").read_text() == (out2 / "detail.csv").read_text()
 
+    def test_negative_values_sweep(self, small_config, tmp_path, monkeypatch):
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "neg"
+        assert main(["sweep", "--config", str(small_config), "--axis", "snr_db",
+                     "--values=-5,20", "--count", "1", "--methods", "music-1",
+                     "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as fh:
+            assert [r["value"] for r in csv.DictReader(fh)] == ["-5.0", "20.0"]
+
     def test_report_aggregates(self, small_config, tmp_path, monkeypatch):
         out = tmp_path / "s"
         assert self.run_sweep(small_config, out, monkeypatch) == 0
@@ -283,3 +294,26 @@ class TestSimulate:
         assert (out / "ref.svst").exists()
         assert (out / "alg.svst").exists()
         assert len(list(out.glob("scene_*.json"))) == 3
+
+
+def readme_commands():
+    """Every ``shamans ...`` command in the README's shell blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("shamans "):
+                commands.append(line.strip())
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 5
+    for command in commands:
+        argv = shlex.split(command, comments=True)[1:]
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

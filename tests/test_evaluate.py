@@ -1,5 +1,6 @@
 """Tests for metrics: angular error, peaks, assignment, accuracy, AUC."""
 
+import csv
 import itertools
 
 import numpy as np
@@ -12,14 +13,15 @@ from shamans.evaluate import (
     accuracy_at,
     angular_error,
     auc_source_count,
-    circ_dist,
+    SweepRow,
+    circular_cell_distance,
     hungarian_assign,
     match_errors,
     minmax_normalize,
     pick_peaks,
-    summarize,
-    SceneMetrics,
-    metrics_to_csv,
+    read_detail,
+    write_detail,
+    write_summary,
 )
 
 
@@ -228,21 +230,32 @@ class TestAuc:
 class TestReporting:
     def test_csv_and_summary(self, tmp_path):
         rows = [
-            SceneMetrics("s0", "shamans", "ref", 1, 1, [0.0], 1.0),
-            SceneMetrics("s1", "shamans", "ref", 1, 1, [30.0], 0.0),
-            SceneMetrics("s2", "shamans", "ref", 1, 0, [], None, status="error: x"),
+            SweepRow("s0", "", "", "shamans", "ref", 1, 1, [0.0], 1.0),
+            SweepRow("s1", "", "", "shamans", "ref", 1, 1, [30.0], 0.0),
+            SweepRow("s2", "", "", "shamans", "ref", 1, status="error: x"),
         ]
         path = tmp_path / "m.csv"
-        metrics_to_csv(rows, path)
+        write_detail(rows, path)
         text = path.read_text()
         assert "shamans" in text and "error: x" in text
-        summary = summarize(rows)
-        assert summary[0]["scenes"] == 2
-        assert summary[0]["err_mean_deg"] == pytest.approx(15.0)
-        assert summary[0]["acc15_mean"] == pytest.approx(0.5)
+        assert read_detail(path) == rows
+        write_summary(rows, tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", newline="") as fh:
+            summary = list(csv.DictReader(fh))
+        assert len(summary) == 1
+        assert int(summary[0]["scenes"]) == 2
+        assert float(summary[0]["err_mean_deg"]) == pytest.approx(15.0)
+        assert float(summary[0]["acc15_mean"]) == pytest.approx(0.5)
+
+    def test_summary_sorts_axis_values_numerically(self, tmp_path):
+        rows = [SweepRow(f"s{v}", "snr_db", v, "shamans", "ref", 1, 1, [0.0], 1.0)
+                for v in (5.0, 20.0)]
+        write_summary(rows, tmp_path / "s.csv")
+        with open(tmp_path / "s.csv", newline="") as fh:
+            assert [r["value"] for r in csv.DictReader(fh)] == ["5.0", "20.0"]
 
 
 class TestCircDist:
     def test_wraps(self):
-        assert circ_dist(0, 59, 60) == 1
-        assert circ_dist(10, 40, 60) == 30
+        assert circular_cell_distance(0, 59, 60) == 1
+        assert circular_cell_distance(10, 40, 60) == 30

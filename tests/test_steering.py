@@ -1,10 +1,12 @@
 """Tests for the algebraic SV model, normalization and the SVSET container."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shamans import cli, scenes
 from shamans.errors import (
     FormatError,
     GeometryError,
@@ -22,6 +24,8 @@ from shamans.steering import (
     normalize_svs,
     save_svset,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -51,7 +55,7 @@ class TestAlgebraicSvs:
     def test_scalar_green_function_value(self):
         geom = ArrayGeometry(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-4]]))
         grid = DoaGrid(np.array([0.0, 180.0]), 1.7)
-        svs = algebraic_svs(geom, grid, [1000.0], speed_of_sound=343.0)
+        svs = algebraic_svs(geom, grid, [1000.0])
         val = svs.values[0, 0, 0]
         expect_phase = -2 * np.pi * 1000.0 * 1.7 / 343.0
         assert abs(abs(val) - 1.0 / (4 * np.pi * 1.7)) < 1e-12
@@ -78,6 +82,33 @@ class TestAlgebraicSvs:
         grid = DoaGrid(np.array([0.0, 180.0]), 0.3)
         with pytest.raises(GeometryError):
             algebraic_svs(geom, grid, [1000.0])
+
+
+def seed_free_field(mic_positions, positions, freqs_hz):
+    """The free-field formula as algebraic_svs and the synthetic field each
+    wrote it inline before they shared ``free_field``."""
+    diff = positions[:, None, :] - mic_positions[None, :, :]
+    r = np.linalg.norm(diff, axis=-1)
+    phase = -2.0j * np.pi * r[:, :, None] * freqs_hz[None, None, :] / 343.0
+    return np.exp(phase) / (4.0 * np.pi * r[:, :, None])
+
+
+@pytest.mark.parametrize("config_path", [None, DATA / "golden_config.json"],
+                         ids=["default", "golden"])
+def test_free_field_matches_seed_formula(config_path, monkeypatch):
+    config = cli.load_config(config_path)
+    params = cli.build_stft_params(config)
+    grid = cli.build_grid(config)
+    geometry = cli.build_array(config)
+    alg = algebraic_svs(geometry, grid, params.freqs_hz)
+    assert np.array_equal(alg.values, seed_free_field(
+        geometry.mic_positions, grid.positions(), params.freqs_hz))
+
+    field = cli.build_field(config, geometry, grid, params)
+    monkeypatch.setattr(scenes, "free_field", lambda geom, positions, freqs:
+                        seed_free_field(geom.mic_positions, positions, freqs))
+    oracle = cli.build_field(config, geometry, grid, params)
+    assert np.array_equal(field.coeffs, oracle.coeffs)
 
 
 class TestNormalizeSvs:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ from .errors import (
 from .interp import (
     CoordNetConfig,
     ShBasisConfig,
+    ShCoefficients,
     SparseSvMeasurements,
     fit_coordnet,
     fit_sh,
@@ -47,7 +48,7 @@ from .scenes import (
     synth_scene,
     synthetic_measured_svs,
 )
-from .signal import StftParams, _num_workers, read_wav, stft
+from .signal import StftParams, read_wav, stft
 from .stable import SolverConfig, shamans_localize
 from .steering import (
     ArrayGeometry,
@@ -96,7 +97,14 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
     that the caller may mutate without touching ``DEFAULT_CONFIG``."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        config = _deep_merge(config, json.loads(Path(path).read_text()))
+        try:
+            doc = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise FormatError(f"{path}: not a JSON config: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise FormatError(f"{path}: a config must be a JSON object, "
+                              f"not {type(doc).__name__}")
+        config = _deep_merge(config, doc)
     if overrides:
         config = _deep_merge(config, overrides)
     return config
@@ -112,18 +120,18 @@ def build_stft_params(config: dict) -> StftParams:
 def build_grid(config: dict) -> DoaGrid:
     g = config["grid"]
     return DoaGrid.uniform(count=int(g["count"]), radius_m=float(g["radius_m"]),
-                           elevation_deg=float(g.get("elevation_deg", 0.0)))
+                           elevation_deg=float(g["elevation_deg"]))
 
 
 def build_array(config: dict) -> ArrayGeometry:
     a = config["array"]
-    if a.get("kind", "random") == "positions":
+    if a["kind"] == "positions":
         return ArrayGeometry(np.asarray(a["mic_positions_m"], dtype=float))
     seed = a.get("seed")
     if seed is None:
         seed = derive_seed(config["seed"], "array")
-    return ArrayGeometry.random_array(num_mics=int(a.get("num_mics", 6)),
-                                      aperture_m=float(a.get("aperture_m", 0.1)),
+    return ArrayGeometry.random_array(num_mics=int(a["num_mics"]),
+                                      aperture_m=float(a["aperture_m"]),
                                       seed=int(seed))
 
 
@@ -134,15 +142,16 @@ def build_field(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
     if seed is None:
         seed = derive_seed(config["seed"], "field")
     return synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
-                                  seed=int(seed), degree=int(f.get("degree", 8)),
-                                  perturb_strength=float(f.get("perturb_strength", 0.15)))
+                                  seed=int(seed), degree=int(f["degree"]),
+                                  perturb_strength=float(f["perturb_strength"]))
 
 
 def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
                 geometry: ArrayGeometry | None = None) -> SteeringVectorSet:
-    """Steering vectors per the configured model: ref | alg | sh | nslite."""
-    model = config["sv"].get("model", "ref")
-    path = config["sv"].get("path")
+    """Steering vectors per the configured model: ref | alg | sh | nslite
+    (the last two from a fit artifact of that kind)."""
+    model = config["sv"]["model"]
+    path = config["sv"]["path"]
     if model == "alg":
         geometry = geometry or build_array(config)
         return algebraic_svs(geometry, grid, params.freqs_hz)
@@ -155,6 +164,9 @@ def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
         if path is None:
             raise ParameterError("sv.path must point to a fit artifact")
         fitted = load_fit_artifact(path)
+        kind = "sh" if isinstance(fitted, ShCoefficients) else "nslite"
+        if kind != model:
+            raise ParameterError(f"{path} is an {kind!r} fit artifact, not {model!r}")
         return interp_svs(fitted, grid, params.freqs_hz)
     raise ParameterError(f"unknown sv model {model!r}")
 
@@ -209,15 +221,15 @@ def cmd_fit(args) -> int:
                                    freqs_hz=measured.freqs_hz)
 
     if fit_cfg["method"] == "sh":
-        degree = fit_cfg.get("max_degree")
+        degree = fit_cfg["max_degree"]
         if degree is None:
             degree = ShBasisConfig.default_degree(n_sv)
         model = fit_sh(samples, ShBasisConfig(max_degree=int(degree),
                                               ridge_lambda=float(fit_cfg["ridge_lambda"])))
     elif fit_cfg["method"] == "nslite":
         model = fit_coordnet(samples, CoordNetConfig(
-            num_features=int(fit_cfg.get("num_features", 128)),
-            feature_scale=float(fit_cfg.get("feature_scale", 2.0)),
+            num_features=int(fit_cfg["num_features"]),
+            feature_scale=float(fit_cfg["feature_scale"]),
             ridge_lambda=float(fit_cfg["ridge_lambda"]),
             seed=derive_seed(config["seed"], "nslite")))
     else:
@@ -303,7 +315,7 @@ def cmd_localize(args) -> int:
             scene.seed = config["seed"]
         ref = build_field(config, geometry, grid, params).on_grid(grid)
         spectrogram, truth = synth_scene(scene, ref, params)
-        svs = ref if config["sv"]["model"] == "ref" and config["sv"].get("path") is None \
+        svs = ref if config["sv"]["model"] == "ref" and config["sv"]["path"] is None \
             else resolve_svs(config, grid, params, geometry)
 
     result = _localize_once(config, spectrogram, svs, truth, config["method"])
@@ -331,61 +343,6 @@ def _fault_status(prefix: str, exc: Exception) -> str:
     return f"{prefix}: {type(exc).__name__}: {exc}"
 
 
-def _sweep_one(task):
-    """Worker: evaluate all (method, sv_model) pairs on one scene.
-
-    A failing step costs the rows it would have produced, never the sweep:
-    the scene (field build and synthesis) spans every pair, an SV set the
-    methods run on it, a method one row.
-    """
-    config, scene_doc, axis, value, scene_id, methods, sv_models, artifacts = task
-
-    def error_row(method, sv_model, n_true, status):
-        return evaluate.SweepRow(scene_id, axis, value, method, sv_model, n_true,
-                                 status=status)
-
-    try:
-        params = build_stft_params(config)
-        grid = build_grid(config)
-        geometry = build_array(config)
-        field = build_field(config, geometry, grid, params)
-        ref = field.on_grid(grid)
-        spec = scenes.scene_from_dict(scene_doc)
-        spectrogram, truth = synth_scene(spec, ref, params)
-    except Exception as exc:  # one scene's fault costs its rows, not the pool
-        status = _fault_status("scene-error", exc)
-        n_true = len(scene_doc.get("source_indices", []))
-        return [error_row(method, sv_model, n_true, status)
-                for sv_model in sv_models for method in methods]
-
-    n_true = truth.indices.size
-    rows = []
-    for sv_model in sv_models:
-        try:
-            if sv_model == "ref":
-                svs = ref
-            elif sv_model == "alg":
-                svs = algebraic_svs(geometry, grid, params.freqs_hz)
-            else:
-                svs = interp_svs(load_fit_artifact(artifacts[sv_model]), grid,
-                                 params.freqs_hz)
-        except Exception as exc:
-            status = _fault_status("sv-error", exc)
-            rows.extend(error_row(method, sv_model, n_true, status) for method in methods)
-            continue
-        for method in methods:
-            try:
-                res = _localize_once(config, spectrogram, svs, truth, method)
-                rows.append(evaluate.SweepRow(
-                    scene_id, axis, value, method, sv_model, n_true,
-                    n_est=len(res["peaks"]), errors_deg=res.get("errors_deg", []),
-                    acc15=res.get("acc15")))
-            except Exception as exc:
-                rows.append(error_row(method, sv_model, n_true,
-                                      _fault_status("error", exc)))
-    return rows
-
-
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
@@ -404,33 +361,60 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    artifacts = {}
     for sv_model in sv_models:
-        if sv_model in ("sh", "nslite"):
-            path = config["sv"].get("path")
-            if path is None:
-                raise ParameterError(f"sv.path needed for sv model {sv_model!r}")
-            artifacts[sv_model] = path
+        if sv_model in ("sh", "nslite") and config["sv"]["path"] is None:
+            raise ParameterError(f"sv.path needed for sv model {sv_model!r}")
 
-    tasks = []
+    # The field and the SV sets are built once and shared by every scene;
+    # `ref` is the field the scenes are synthesized with. A failing step
+    # costs the rows it would have produced, never the sweep: the field
+    # every row, a scene's synthesis that scene's rows, an SV set its
+    # model's rows, a method one row.
+    field_status, svsets = None, {}
+    try:
+        params = build_stft_params(config)
+        geometry = build_array(config)
+        ref = build_field(config, geometry, grid, params).on_grid(grid)
+    except Exception as exc:
+        field_status = _fault_status("scene-error", exc)
+    for sv_model in sv_models if field_status is None else ():
+        try:
+            svsets[sv_model] = ref if sv_model == "ref" else resolve_svs(
+                {**config, "sv": {**config["sv"], "model": sv_model}}, grid, params,
+                geometry)
+        except Exception as exc:
+            svsets[sv_model] = _fault_status("sv-error", exc)
+
+    rows = []
     for j, spec in enumerate(batch):
-        value = values[j // args.count] if axis else ""
-        tasks.append((config, scenes.scene_to_dict(spec), axis or "", value,
-                      f"scene_{j:05d}", methods, sv_models, artifacts))
+        row = functools.partial(evaluate.SweepRow, f"scene_{j:05d}", axis or "",
+                                values[j // args.count] if axis else "",
+                                n_true=len(spec.source_indices))
+        status = field_status
+        if status is None:
+            try:
+                spectrogram, truth = synth_scene(spec, ref, params)
+            except Exception as exc:
+                status = _fault_status("scene-error", exc)
+        for sv_model in sv_models:
+            svs = status or svsets[sv_model]  # a status string stands for a failure
+            for method in methods:
+                if isinstance(svs, str):
+                    rows.append(row(method, sv_model, status=svs))
+                    continue
+                try:
+                    res = _localize_once(config, spectrogram, svs, truth, method)
+                    rows.append(row(method, sv_model, n_est=len(res["peaks"]),
+                                    errors_deg=res.get("errors_deg", []),
+                                    acc15=res.get("acc15")))
+                except Exception as exc:
+                    rows.append(row(method, sv_model, status=_fault_status("error", exc)))
 
-    workers = _num_workers()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            all_rows = list(pool.map(_sweep_one, tasks))
-    else:
-        all_rows = [_sweep_one(t) for t in tasks]
-
-    flat = [row for rows in all_rows for row in rows]
-    flat.sort(key=lambda r: (r.axis, r.value, r.scene_id, r.method, r.sv_model))
+    rows.sort(key=lambda r: (r.axis, r.value, r.scene_id, r.method, r.sv_model))
     detail = out / "detail.csv"
-    evaluate.write_detail(flat, detail)
-    evaluate.write_summary(flat, out / "summary.csv")
-    print(f"wrote {detail} ({len(flat)} rows)")
+    evaluate.write_detail(rows, detail)
+    evaluate.write_summary(rows, out / "summary.csv")
+    print(f"wrote {detail} ({len(rows)} rows)")
     return EXIT_OK
 
 

@@ -212,6 +212,11 @@ def load_svset(path) -> SteeringVectorSet:
     values, azimuths, freqs, radius, elevation, tag_byte = read_svset_raw(path)
     if tag_byte not in _BYTE_TO_TAG:
         raise FormatError(f"{path}: unknown source tag byte {tag_byte}")
+    # interp.save_fit_artifact reuses the container with radius 0 and the
+    # coefficient indices in the azimuth slot
+    if radius == 0.0 and np.array_equal(azimuths, np.arange(azimuths.size)):
+        raise FormatError(f"{path}: a fit artifact (interpolator coefficients), "
+                          "not an SV set")
     grid = DoaGrid(azimuths, radius, elevation)
     return SteeringVectorSet(values=values, grid=grid, freqs_hz=freqs,
                              source_tag=_BYTE_TO_TAG[tag_byte])

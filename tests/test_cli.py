@@ -46,6 +46,30 @@ def measured_svset(small_config, tmp_path_factory):
     return out / "ref.svst"
 
 
+@pytest.fixture(scope="module")
+def sh_artifact(small_config, measured_svset, tmp_path_factory):
+    model = tmp_path_factory.mktemp("fit") / "sh.svst"
+    rc = main(["fit", "--config", str(small_config), "--measurements", str(measured_svset),
+               "--n-sv", "12", "--method", "sh", "--max-degree", "3", "--out", str(model)])
+    assert rc == 0
+    return model
+
+
+@pytest.fixture(scope="module")
+def artifact_config(small_config, sh_artifact):
+    """The shared config with ``sv.path`` pointing at the SH fit artifact."""
+    cfg = json.loads(Path(small_config).read_text())
+    cfg["sv"] = {"model": "ref", "path": str(sh_artifact)}
+    path = sh_artifact.parent / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestFit:
     def test_fit_and_localize_roundtrip(self, small_config, measured_svset, tmp_path):
         model = tmp_path / "model.svst"
@@ -104,6 +128,14 @@ class TestConfig:
             cfg["scene"]["source_indices"].append(3)
         assert DEFAULT_CONFIG == before
 
+    @pytest.mark.parametrize("text", ["", "[]", "{not json"])
+    def test_config_not_a_json_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        rc = main(["localize", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{path}:" in capsys.readouterr().err
+
 
 class TestLocalize:
     def test_golden_scene_zero_error(self, tmp_path):
@@ -159,6 +191,21 @@ class TestLocalize:
                    "--sv-model", "sh", "--sv-path", str(model),
                    "--out", str(tmp_path / "o2")])
         assert rc == 4
+
+    def test_fit_artifact_as_ref_svset_exits_2(self, small_config, sh_artifact,
+                                               tmp_path, capsys):
+        rc = main(["localize", "--config", str(small_config), "--sv-model", "ref",
+                   "--sv-path", str(sh_artifact), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "a fit artifact" in capsys.readouterr().err
+
+    def test_artifact_kind_must_match_sv_model(self, small_config, sh_artifact,
+                                               tmp_path, capsys):
+        rc = main(["localize", "--config", str(small_config), "--sv-model", "nslite",
+                   "--sv-path", str(sh_artifact), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert "is an 'sh' fit artifact, not 'nslite'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_localize_wav_input(self, small_config, tmp_path):
         from shamans.signal import AudioBuffer, write_wav
@@ -283,6 +330,45 @@ class TestSweep:
             else:
                 assert r["status"] == "ok"
         assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_field_and_sv_sets_built_once_per_sweep(self, artifact_config, tmp_path,
+                                                   monkeypatch):
+        calls = {}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("build_field", "algebraic_svs", "load_fit_artifact"):
+            monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "once"
+        assert main(["sweep", "--config", str(artifact_config), "--count", "3",
+                     "--methods", "music-1", "--sv-models", "ref,alg,sh",
+                     "--out", str(out)]) == 0
+        assert calls == {"build_field": 1, "algebraic_svs": 1, "load_fit_artifact": 1}
+        rows = read_rows(out / "detail.csv")
+        assert len(rows) == 3 * 3 and all(r["status"] == "ok" for r in rows)
+
+    def test_sv_model_mismatch_becomes_rows(self, artifact_config, sh_artifact, tmp_path,
+                                            monkeypatch):
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "mismatch"
+        assert main(["sweep", "--config", str(artifact_config), "--count", "2",
+                     "--methods", "music-1", "--sv-models", "ref,nslite,foo",
+                     "--out", str(out)]) == 0
+        status = {(r["scene_id"], r["sv_model"]): r["status"]
+                  for r in read_rows(out / "detail.csv")}
+        assert len(status) == 2 * 3
+        for (_scene, sv_model), s in status.items():
+            assert s == {"ref": "ok",
+                         "nslite": f"sv-error: {sh_artifact} is an 'sh' fit artifact, "
+                                   "not 'nslite'",
+                         "foo": "sv-error: unknown sv model 'foo'"}[sv_model]
 
 
 class TestSimulate:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shamans.errors import ShapeError, SingularSystemError
+from shamans.errors import FormatError, ShapeError, SingularSystemError
 from shamans.interp import (
     CoordNetConfig,
     ShBasisConfig,
@@ -23,7 +23,7 @@ from shamans.interp import (
     sh_basis,
     sh_matrix,
 )
-from shamans.steering import DoaGrid, SteeringVectorSet
+from shamans.steering import DoaGrid, SteeringVectorSet, load_svset
 
 
 def random_sphere(n, seed):
@@ -268,3 +268,15 @@ class TestArtifacts:
         back = load_fit_artifact(path)
         held = random_sphere(10, 54)
         assert np.allclose(back.predict(held), model.predict(held), atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["sh", "nslite"])
+    def test_not_read_as_svset(self, tmp_path, kind):
+        truth = bandlimited_field(2, 2, 3, seed=55)
+        pts = fibonacci_sphere(25)
+        meas = SparseSvMeasurements(pts, truth.predict(pts), truth.freqs_hz)
+        model = fit_sh(meas, ShBasisConfig(max_degree=2, ridge_lambda=1e-8)) \
+            if kind == "sh" else fit_coordnet(meas, CoordNetConfig(num_features=8, seed=9))
+        path = tmp_path / "model.svst"
+        save_fit_artifact(model, path)
+        with pytest.raises(FormatError, match="model.svst: a fit artifact"):
+            load_svset(path)

@@ -41,24 +41,26 @@ def music_spectrum(spec: Spectrogram, svs: SteeringVectorSet,
     M - k smallest eigenvectors, pseudospectrum ||a||^2 / (a^H En En^H a)
     capped at 1e12. Bins are max-normalized before averaging so loud bins
     do not dominate, and the averaged spectrum is max-normalized again.
+    All bins share one [F, M, M] covariance stack, one batched ``eigh``
+    and one [F, L, M-k] projection.
     """
     m = spec.num_channels
     if not 1 <= subspace_rank < m:
         raise ParameterError(f"subspace rank must lie in [1, {m - 1}]")
     spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
 
-    num_dirs = len(svs.grid)
-    acc = np.zeros(num_dirs)
-    t = spec.num_frames
-    for i_spec, i_sv in zip(spec_idx, sv_idx):
-        x = spec.bins[:, i_spec, :]  # [M, T]
-        cov = (x @ x.conj().T) / t + 1e-12 * np.eye(m)
-        _vals, vecs = np.linalg.eigh(cov)
-        noise_basis = vecs[:, : m - subspace_rank]  # smallest eigenvalues first
-        a = svs.values[:, :, i_sv]  # [L, M]
-        proj = a.conj() @ noise_basis  # [L, M-k]
-        denom = np.sum(np.abs(proj) ** 2, axis=1) / np.sum(np.abs(a) ** 2, axis=1)
-        acc += _max_normalize(1.0 / np.maximum(denom, 1e-12))
+    x = spec.bins[:, spec_idx, :].transpose(1, 0, 2)  # [F, M, T]
+    cov = (x @ x.conj().transpose(0, 2, 1)) / spec.num_frames + 1e-12 * np.eye(m)
+    _vals, vecs = np.linalg.eigh(cov)  # one batched call, ascending eigenvalues
+    noise_basis = vecs[:, :, : m - subspace_rank]  # [F, M, M-k]
+    a = svs.values[:, :, sv_idx].transpose(2, 0, 1)  # [F, L, M]
+    proj = a.conj() @ noise_basis  # [F, L, M-k]
+    denom = np.sum(np.abs(proj) ** 2, axis=2) / np.sum(np.abs(a) ** 2, axis=2)
+    per_bin = 1.0 / np.maximum(denom, 1e-12)  # [F, L], positive
+    per_bin /= per_bin.max(axis=1, keepdims=True)
+    acc = np.zeros(len(svs.grid))
+    for row in per_bin:  # in bin order, so the sum matches a per-bin loop bit for bit
+        acc += row
     spectrum = _max_normalize(acc / spec_idx.size)
     return AngularSpectrum(values=spectrum, grid=svs.grid,
                            method_tag=f"music-{subspace_rank}")
@@ -69,7 +71,9 @@ def srp_phat_spectrum(spec: Spectrogram, svs: SteeringVectorSet) -> AngularSpect
 
     Both the observations and the steering vectors are reduced to pure
     phase (zero-magnitude entries stay zero), so the spectrum is invariant
-    to any per-channel or global rescaling of the input.
+    to any per-channel or global rescaling of the input. The steered power
+    sum_t |a^H w_t|^2 of a bin is the quadratic form a^H C a of its PHAT
+    covariance C = sum_t w_t w_t^H, so no [L, F, T] response is formed.
     """
     if spec.num_channels < 2:
         raise ParameterError("SRP-PHAT needs at least two channels")
@@ -79,11 +83,13 @@ def srp_phat_spectrum(spec: Spectrogram, svs: SteeringVectorSet) -> AngularSpect
     mag = np.abs(x)
     white = np.where(mag > 0, x / np.where(mag > 0, mag, 1.0), 0.0)
 
-    a = svs.values[:, :, sv_idx]
+    a = svs.values[:, :, sv_idx].transpose(2, 0, 1)  # [F, L, M]
     a_mag = np.abs(a)
     a_phase = np.where(a_mag > 0, a / np.where(a_mag > 0, a_mag, 1.0), 0.0)
 
-    steered = np.einsum("lmf,mft->lft", a_phase.conj(), white)
-    power = np.sum(np.abs(steered) ** 2, axis=(1, 2))
+    w = white.transpose(1, 0, 2)  # [F, M, T]
+    cov = w @ w.conj().transpose(0, 2, 1)  # [F, M, M]
+    quad = np.sum((a_phase.conj() @ cov) * a_phase, axis=2).real  # [F, L]
+    power = quad.sum(axis=0)
     return AngularSpectrum(values=_max_normalize(power), grid=svs.grid,
                            method_tag="srp-phat")

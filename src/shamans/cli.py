@@ -92,6 +92,24 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _check_types(doc: dict, defaults: dict, source: str, prefix: str = "") -> None:
+    """Reject a value whose JSON type contradicts its default: a non-object
+    where the default is an object, a non-number where it is a number.
+    Keys without a default and keys whose default is null take any value."""
+    for key, val in doc.items():
+        default = defaults.get(key)
+        name = prefix + key
+        if isinstance(default, dict):
+            if not isinstance(val, dict):
+                raise FormatError(f"{source}: config key {name!r} must be an object, "
+                                  f"got {json.dumps(val)}")
+            _check_types(val, default, source, name + ".")
+        elif isinstance(default, (int, float)) and (
+                isinstance(val, bool) or not isinstance(val, (int, float))):
+            raise FormatError(f"{source}: config key {name!r} must be a number, "
+                              f"got {json.dumps(val)}")
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
     """The defaults merged with a JSON file and overrides, as a fresh copy
     that the caller may mutate without touching ``DEFAULT_CONFIG``."""
@@ -104,6 +122,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         if not isinstance(doc, dict):
             raise FormatError(f"{path}: a config must be a JSON object, "
                               f"not {type(doc).__name__}")
+        _check_types(doc, DEFAULT_CONFIG, path)
         config = _deep_merge(config, doc)
     if overrides:
         config = _deep_merge(config, overrides)

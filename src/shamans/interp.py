@@ -59,6 +59,18 @@ def sh_matrix(directions, max_degree: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def sh_expand(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Apply a real [N, P] matrix to complex [P, M, F] coefficients, [N, M, F].
+
+    With ``basis = sh_matrix(directions, degree)`` this evaluates an SH
+    expansion. The real and imaginary parts go through one real matmul.
+    """
+    p, m, f = coeffs.shape
+    flat = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(p, m * f)
+    out = basis @ flat.view(np.float64)  # [N, 2 M F], re/im interleaved
+    return out.view(np.complex128).reshape(-1, m, f)
+
+
 def sh_basis(direction, max_degree: int) -> np.ndarray:
     """Harmonic vector of length (max_degree + 1)^2 for one unit direction."""
     return sh_matrix(np.asarray(direction)[None, :], max_degree)[0]
@@ -128,8 +140,7 @@ class ShCoefficients:
     ridge_lambda: float = 0.0
 
     def predict(self, directions) -> np.ndarray:
-        basis = sh_matrix(directions, self.max_degree)
-        return np.einsum("np,pmf->nmf", basis, self.coeffs)
+        return sh_expand(sh_matrix(directions, self.max_degree), self.coeffs)
 
 
 def _ridge_solve(gram: np.ndarray, rhs: np.ndarray, penalty: np.ndarray):

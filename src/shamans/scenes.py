@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import SceneSpecError, ShapeError
 from .evaluate import circular_cell_distance
-from .interp import SparseSvMeasurements, fibonacci_sphere, sh_matrix
+from .interp import SparseSvMeasurements, fibonacci_sphere, sh_expand, sh_matrix
 from .signal import AudioBuffer, Spectrogram, StftParams, read_wav, stft
 from .stable import sample_sas
 from .steering import ArrayGeometry, DoaGrid, SteeringVectorSet, free_field
@@ -337,8 +337,7 @@ class SyntheticSvField:
     degree: int
 
     def evaluate(self, directions) -> np.ndarray:
-        basis = sh_matrix(directions, self.degree)
-        return np.einsum("np,pmf->nmf", basis, self.coeffs)
+        return sh_expand(sh_matrix(directions, self.degree), self.coeffs)
 
     def on_grid(self, grid: DoaGrid) -> SteeringVectorSet:
         return SteeringVectorSet(values=self.evaluate(grid.directions()),
@@ -380,8 +379,9 @@ def synthetic_measured_svs(geometry: ArrayGeometry, radius_m: float, freqs_hz,
     gain = 1.0 + perturb_strength * (p_basis @ g)  # [N, M]
     perturbed = design_grid_vals * gain[:, :, None]
 
+    # minimum-norm least squares through the real basis's pseudoinverse,
+    # with lstsq's default singular-value cutoff
     basis = sh_matrix(design, degree)  # [N, P]
-    coeffs, *_ = np.linalg.lstsq(basis, perturbed.reshape(design_points, -1), rcond=None)
-    p = (degree + 1) ** 2
-    return SyntheticSvField(coeffs=coeffs.reshape(p, geometry.num_mics, freqs_hz.size),
+    basis_pinv = np.linalg.pinv(basis, rcond=np.finfo(np.float64).eps * max(basis.shape))
+    return SyntheticSvField(coeffs=sh_expand(basis_pinv, perturbed),
                             freqs_hz=freqs_hz, degree=degree)

@@ -9,6 +9,7 @@ with sparse multiplicative updates.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -281,6 +282,15 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     return AlphaParam(float(np.clip(np.mean(slopes), _ALPHA_MIN, _ALPHA_MAX)))
 
 
+def _unchecked(obj, **changes):
+    """A copy of a validated dataclass with fields swapped for values derived
+    from it, without re-running its ``__post_init__`` checks (for a
+    spectrogram, a full ``isfinite`` pass)."""
+    out = copy.copy(obj)
+    vars(out).update(changes)
+    return out
+
+
 def normalize_observations(spec: Spectrogram, p: float) -> Spectrogram:
     """Divide each TF vector by the p-th power of its p-norm.
 
@@ -297,11 +307,9 @@ def normalize_observations(spec: Spectrogram, p: float) -> Spectrogram:
     if spec.valid_mask is not None:
         mask &= spec.valid_mask
     safe = np.where(norms_p > 0, norms_p, 1.0)
-    bins = spec.bins / safe[None, :, :]
+    bins = spec.bins / safe[None, :, :]  # finite where the input is
     bins[:, ~mask] = 0.0
-    return Spectrogram(bins=bins, sample_rate=spec.sample_rate,
-                       frame_size=spec.frame_size, hop=spec.hop, valid_mask=mask,
-                       first_bin=spec.first_bin)
+    return _unchecked(spec, bins=bins, valid_mask=mask)
 
 
 def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
@@ -435,13 +443,14 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
             f"p = {config.p_norm} must be below the estimated alpha = {alpha.alpha:.3f}")
 
     spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
-    normalized = normalize_observations(spec, config.p_norm)
-    sub_spec = Spectrogram(bins=normalized.bins[:, spec_idx, :],
-                           sample_rate=spec.sample_rate, frame_size=spec.frame_size,
-                           hop=spec.hop, valid_mask=normalized.valid_mask[spec_idx, :],
-                           first_bin=spec.first_bin + int(spec_idx[0]))
-    sub_svs = SteeringVectorSet(values=svs.values[:, :, sv_idx], grid=svs.grid,
-                                freqs_hz=svs.freqs_hz[sv_idx], source_tag=svs.source_tag)
+    # match_freq_bins drops only DC and fails on a missing bin, so the
+    # retained bins are one run: normalize a view of it, not a copy
+    band = slice(int(spec_idx[0]), int(spec_idx[-1]) + 1)
+    retained = _unchecked(
+        spec, bins=spec.bins[:, band, :], first_bin=spec.first_bin + band.start,
+        valid_mask=None if spec.valid_mask is None else spec.valid_mask[band])
+    sub_spec = normalize_observations(retained, config.p_norm)
+    sub_svs = _unchecked(svs, values=svs.values[:, :, sv_idx], freqs_hz=svs.freqs_hz[sv_idx])
     tilde = normalize_svs(sub_svs)
 
     i_hat = levy_estimator(sub_spec, tilde, alpha)

@@ -1,13 +1,24 @@
 """Tests for the MUSIC and SRP-PHAT baselines."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shamans import cli
 from shamans.errors import ParameterError
 from shamans.baselines import music_spectrum, srp_phat_spectrum
 from shamans.scenes import SceneSpec, synth_scene
 from shamans.signal import Spectrogram, StftParams
-from shamans.steering import ArrayGeometry, DoaGrid, SteeringVectorSet, algebraic_svs
+from shamans.steering import (
+    ArrayGeometry,
+    DoaGrid,
+    SteeringVectorSet,
+    algebraic_svs,
+    match_freq_bins,
+)
+
+GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
 
 
 def setup_scene(seed, source_indices, snr_db=None, grid_size=60, n_mics=6):
@@ -118,3 +129,89 @@ class TestSrpPhat:
         mono = Spectrogram(sg.bins[:1], sg.sample_rate, sg.frame_size, sg.hop)
         with pytest.raises(ParameterError):
             srp_phat_spectrum(mono, svs)
+
+
+# ---------------------------------------------------------------------------
+# the batched baselines against the per-bin loop and the steered-response
+# einsum they replaced, kept here as oracles
+
+
+def _oracle_max_normalize(values):
+    peak = values.max()
+    return values / peak if peak > 0 else values
+
+
+def music_loop_oracle(spec, svs, subspace_rank):
+    m = spec.num_channels
+    spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
+    acc = np.zeros(len(svs.grid))
+    for i_spec, i_sv in zip(spec_idx, sv_idx):
+        x = spec.bins[:, i_spec, :]
+        cov = (x @ x.conj().T) / spec.num_frames + 1e-12 * np.eye(m)
+        _vals, vecs = np.linalg.eigh(cov)
+        noise_basis = vecs[:, : m - subspace_rank]
+        a = svs.values[:, :, i_sv]
+        proj = a.conj() @ noise_basis
+        denom = np.sum(np.abs(proj) ** 2, axis=1) / np.sum(np.abs(a) ** 2, axis=1)
+        acc += _oracle_max_normalize(1.0 / np.maximum(denom, 1e-12))
+    return _oracle_max_normalize(acc / spec_idx.size)
+
+
+def srp_einsum_oracle(spec, svs):
+    spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
+    x = spec.bins[:, spec_idx, :]
+    mag = np.abs(x)
+    white = np.where(mag > 0, x / np.where(mag > 0, mag, 1.0), 0.0)
+    a = svs.values[:, :, sv_idx]
+    a_mag = np.abs(a)
+    a_phase = np.where(a_mag > 0, a / np.where(a_mag > 0, a_mag, 1.0), 0.0)
+    steered = np.einsum("lmf,mft->lft", a_phase.conj(), white)
+    return _oracle_max_normalize(np.sum(np.abs(steered) ** 2, axis=(1, 2)))
+
+
+@pytest.fixture(scope="module", params=["default", "golden"])
+def config_scenes(request):
+    """Three 3-source scenes synthesized with the config's field, plus its
+    ``ref`` and ``alg`` SV sets."""
+    config = cli.load_config(None if request.param == "default" else str(GOLDEN_CONFIG))
+    params, grid = cli.build_stft_params(config), cli.build_grid(config)
+    geometry = cli.build_array(config)
+    ref = cli.build_field(config, geometry, grid, params).on_grid(grid)
+    alg = algebraic_svs(geometry, grid, params.freqs_hz)
+    specs = [synth_scene(SceneSpec(source_indices=idx, seed=seed, snr_db=snr), ref,
+                         params)[0]
+             for idx, seed, snr in (([3, 20, 41], 1, 20.0), ([0, 30, 58], 2, 5.0),
+                                    ([12, 15, 50], 3, None))]
+    return specs, {"ref": ref, "alg": alg}
+
+
+class TestBatchedEquivalence:
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_music_bit_identical_to_loop(self, config_scenes, rank):
+        specs, svsets = config_scenes
+        for sg in specs:
+            for svs in svsets.values():
+                out = music_spectrum(sg, svs, rank).values
+                assert np.array_equal(out, music_loop_oracle(sg, svs, rank))
+
+    def test_srp_phat_matches_einsum(self, config_scenes):
+        specs, svsets = config_scenes
+        for sg in specs:
+            for svs in svsets.values():
+                out = srp_phat_spectrum(sg, svs).values
+                assert np.max(np.abs(out - srp_einsum_oracle(sg, svs))) <= 1e-12
+
+    def test_srp_phat_matches_einsum_with_zero_entries(self):
+        sg, svs, _ = setup_scene(15, [9, 40], snr_db=10.0)
+        bins = sg.bins.copy()
+        bins[1] = 0.0  # a dead channel
+        bins[:, 7, :] = 0.0  # a silent bin
+        bins[3, :, ::5] = 0.0  # scattered zero samples
+        values = svs.values.copy()
+        values[:, 2, 10:20] = 0.0  # an SV entry with no magnitude
+        values[4, :, 30] = 0.0
+        values[4, 0, 30] = 1.0  # one direction hears one microphone in a bin
+        zeroed = Spectrogram(bins, sg.sample_rate, sg.frame_size, sg.hop)
+        svs = SteeringVectorSet(values, svs.grid, svs.freqs_hz)
+        out = srp_phat_spectrum(zeroed, svs).values
+        assert np.max(np.abs(out - srp_einsum_oracle(zeroed, svs))) <= 1e-12

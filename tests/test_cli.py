@@ -136,6 +136,31 @@ class TestConfig:
         assert rc == 2
         assert f"{path}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, key, kind", [
+        ({"grid": 5}, "grid", "an object"),
+        ({"scene": {"source_kind": "sas"}}, "scene.source_kind", "an object"),
+        ({"array": {"num_mics": "x"}}, "array.num_mics", "a number"),
+        ({"solver": {"iterations": None}}, "solver.iterations", "a number"),
+        ({"stft": {"hop": True}}, "stft.hop", "a number"),
+    ])
+    def test_mistyped_config_value_exits_2(self, tmp_path, capsys, doc, key, kind):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["localize", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and f"{key!r} must be {kind}" in err
+        assert "Traceback" not in err
+
+    def test_null_allowed_where_the_default_is_null(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"sv": {"path": None}, "fit": {"max_degree": None},
+                                    "array": {"seed": None}, "field": {"seed": None},
+                                    "stft": {"f_max_hz": 8000}}))
+        config = load_config(str(path))
+        assert config["sv"]["path"] is None and config["array"]["seed"] is None
+        assert config["stft"]["f_max_hz"] == 8000  # an int where the default is a float
+
 
 class TestLocalize:
     def test_golden_scene_zero_error(self, tmp_path):

@@ -21,6 +21,7 @@ from shamans.interp import (
     num_sh_coeffs,
     save_fit_artifact,
     sh_basis,
+    sh_expand,
     sh_matrix,
 )
 from shamans.steering import DoaGrid, SteeringVectorSet, load_svset
@@ -165,6 +166,28 @@ class TestInterpSvs:
         for l in range(8):
             for f in range(3):
                 assert np.allclose(out.values[l, :, f], mean)
+
+
+class TestShExpand:
+    """The one SH-expansion product against the einsum it replaced."""
+
+    def test_predict_matches_einsum(self):
+        model = bandlimited_field(8, 6, 129, seed=17)
+        grid = DoaGrid.uniform(60, 1.7)
+        for directions in (grid.directions(), random_sphere(25, 18)):
+            oracle = np.einsum("np,pmf->nmf", sh_matrix(directions, 8), model.coeffs)
+            assert np.max(np.abs(model.predict(directions) - oracle)) <= 1e-12
+        out = interp_svs(model, grid, model.freqs_hz)
+        assert np.array_equal(out.values, model.predict(grid.directions()))
+
+    def test_any_coefficient_layout(self):
+        coeffs = bandlimited_field(3, 4, 10, seed=19).coeffs
+        basis = sh_matrix(random_sphere(7, 20), 3)
+        for c in (coeffs[:, :, ::2], coeffs.real, coeffs.transpose(0, 2, 1)):
+            oracle = np.einsum("np,pmf->nmf", basis, c)
+            out = sh_expand(basis, c)
+            assert out.shape == oracle.shape
+            assert np.max(np.abs(out - oracle)) <= 1e-12
 
 
 class TestFitCoordnet:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shamans.errors import SceneSpecError, ShapeError
-from shamans.interp import ShBasisConfig, fit_sh
+from shamans.interp import ShBasisConfig, fibonacci_sphere, fit_sh, sh_matrix
 from shamans.scenes import (
     DiffuseReverb,
     SasSourceKind,
@@ -21,7 +21,7 @@ from shamans.scenes import (
     synthetic_measured_svs,
 )
 from shamans.signal import AudioBuffer, StftParams, write_wav
-from shamans.steering import ArrayGeometry, DoaGrid, algebraic_svs
+from shamans.steering import ArrayGeometry, DoaGrid, algebraic_svs, free_field
 
 
 @pytest.fixture(scope="module")
@@ -248,3 +248,42 @@ class TestSyntheticField:
         assert meas.num_measurements == 10
         assert np.allclose(np.linalg.norm(meas.directions, axis=1), 1.0)
         assert np.allclose(meas.directions[:, 2], 0.0)  # elevation 0 ring
+
+
+def lstsq_field_coeffs(geometry, radius_m, freqs_hz, seed, degree, perturb_strength,
+                       design_points):
+    """The field's SH coefficients by the complex ``lstsq`` projection that
+    ``synthetic_measured_svs`` used before its pseudoinverse; an oracle."""
+    design = fibonacci_sphere(design_points)
+    values = free_field(geometry, radius_m * design, freqs_hz)
+    rng = np.random.default_rng(seed)
+    p_basis = sh_matrix(design, 2)
+    g = rng.standard_normal((9, geometry.num_mics)) \
+        + 1j * rng.standard_normal((9, geometry.num_mics))
+    perturbed = values * (1.0 + perturb_strength * (p_basis @ g))[:, :, None]
+    basis = sh_matrix(design, degree)
+    coeffs, *_ = np.linalg.lstsq(basis, perturbed.reshape(design_points, -1), rcond=None)
+    return coeffs.reshape(basis.shape[1], geometry.num_mics, freqs_hz.size)
+
+
+class TestFieldProjection:
+    @pytest.mark.parametrize("num_mics, aperture, degree, design_points", [
+        (6, 0.18, 8, 400),  # the CLI default
+        (4, 0.08, 6, 400),
+        (6, 0.18, 8, 60),  # fewer design points than harmonics: minimum norm
+    ])
+    def test_coeffs_match_lstsq(self, num_mics, aperture, degree, design_points):
+        geom = ArrayGeometry.random_array(num_mics, aperture, seed=21)
+        freqs = StftParams().freqs_hz
+        field = synthetic_measured_svs(geom, 1.7, freqs, seed=22, degree=degree,
+                                       design_points=design_points)
+        oracle = lstsq_field_coeffs(geom, 1.7, freqs, 22, degree, 0.15, design_points)
+        assert field.coeffs.shape == oracle.shape
+        assert np.max(np.abs(field.coeffs - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_evaluate_matches_einsum(self):
+        geom = ArrayGeometry.random_array(6, 0.18, seed=23)
+        field = synthetic_measured_svs(geom, 1.7, StftParams().freqs_hz, seed=24)
+        directions = DoaGrid.uniform(60, 1.7).directions()
+        oracle = np.einsum("np,pmf->nmf", sh_matrix(directions, field.degree), field.coeffs)
+        assert np.max(np.abs(field.evaluate(directions) - oracle)) <= 1e-12

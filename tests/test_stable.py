@@ -686,6 +686,38 @@ class TestShamansLocalize:
         assert out.info["masked_bins"] == sg.num_frames
         assert out.info["levy_clamped"] == len(grid)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_full_normalize_then_copy(self, masked):
+        # the band view and the unvalidated sub-sets give what normalizing
+        # every bin, then copying out the retained ones, gave
+        grid, params, svs = make_scene_setup(seed=16, grid_size=30)
+        scene = SceneSpec(source_indices=[4, 19], seed=17, snr_db=20.0)
+        sg, _ = synth_scene(scene, svs, params)
+        if masked:
+            mask = np.ones((sg.num_freqs, sg.num_frames), dtype=bool)
+            mask[::7, ::3] = False
+            sg = Spectrogram(sg.bins, sg.sample_rate, sg.frame_size, sg.hop,
+                             valid_mask=mask)
+        config = SolverConfig(iterations=50)
+        out = shamans_localize(sg, svs, config)
+
+        from shamans.steering import match_freq_bins
+
+        alpha = estimate_alpha(sg)
+        spec_idx, sv_idx = match_freq_bins(sg.freqs_hz, svs.freqs_hz)
+        full = normalize_observations(sg, config.p_norm)
+        sub = Spectrogram(full.bins[:, spec_idx, :], sg.sample_rate, sg.frame_size,
+                          sg.hop, valid_mask=full.valid_mask[spec_idx, :],
+                          first_bin=sg.first_bin + int(spec_idx[0]))
+        tilde = normalize_svs(SteeringVectorSet(svs.values[:, :, sv_idx], svs.grid,
+                                                svs.freqs_hz[sv_idx], svs.source_tag))
+        i_hat = levy_estimator(sub, tilde, alpha)
+        sketch = LevySketch(i_hat, build_psi(tilde, alpha), alpha, spec_idx.size)
+        ref = multiplicative_update(sketch, config, grid=svs.grid)
+        assert np.array_equal(out.upsilon, ref.upsilon)
+        assert out.info["masked_bins"] == int(np.count_nonzero(~sub.valid_mask))
+        assert {k: out.info[k] for k in ref.info} == ref.info
+
     def test_p_above_alpha_rejected(self):
         grid, params, svs = make_scene_setup(seed=12, grid_size=30)
         scene = SceneSpec(source_indices=[5], source_kind=SasSourceKind(alpha=1.2),

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal import Spectrogram
-from .steering import DoaGrid, SteeringVectorSet, match_freq_bins
+from .steering import DoaGrid, SteeringVectorSet, match_freq_band
 
 
 @dataclass
@@ -47,9 +47,9 @@ def music_spectrum(spec: Spectrogram, svs: SteeringVectorSet,
     m = spec.num_channels
     if not 1 <= subspace_rank < m:
         raise ParameterError(f"subspace rank must lie in [1, {m - 1}]")
-    spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
+    band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
 
-    x = spec.bins[:, spec_idx, :].transpose(1, 0, 2)  # [F, M, T]
+    x = spec.bins[:, band, :].transpose(1, 0, 2)  # [F, M, T]
     cov = (x @ x.conj().transpose(0, 2, 1)) / spec.num_frames + 1e-12 * np.eye(m)
     _vals, vecs = np.linalg.eigh(cov)  # one batched call, ascending eigenvalues
     noise_basis = vecs[:, :, : m - subspace_rank]  # [F, M, M-k]
@@ -61,7 +61,7 @@ def music_spectrum(spec: Spectrogram, svs: SteeringVectorSet,
     acc = np.zeros(len(svs.grid))
     for row in per_bin:  # in bin order, so the sum matches a per-bin loop bit for bit
         acc += row
-    spectrum = _max_normalize(acc / spec_idx.size)
+    spectrum = _max_normalize(acc / sv_idx.size)
     return AngularSpectrum(values=spectrum, grid=svs.grid,
                            method_tag=f"music-{subspace_rank}")
 
@@ -77,9 +77,9 @@ def srp_phat_spectrum(spec: Spectrogram, svs: SteeringVectorSet) -> AngularSpect
     """
     if spec.num_channels < 2:
         raise ParameterError("SRP-PHAT needs at least two channels")
-    spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
+    band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
 
-    x = spec.bins[:, spec_idx, :]
+    x = spec.bins[:, band, :]
     mag = np.abs(x)
     white = np.where(mag > 0, x / np.where(mag > 0, mag, 1.0), 0.0)
 

@@ -92,10 +92,15 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# numeric keys whose consumer reads null as "off" (no additive noise)
+_NULLABLE_NUMBERS = {"scene.snr_db"}
+
+
 def _check_types(doc: dict, defaults: dict, source: str, prefix: str = "") -> None:
     """Reject a value whose JSON type contradicts its default: a non-object
     where the default is an object, a non-number where it is a number.
-    Keys without a default and keys whose default is null take any value."""
+    Keys without a default and keys whose default is null take any value,
+    and the keys in ``_NULLABLE_NUMBERS`` also take null."""
     for key, val in doc.items():
         default = defaults.get(key)
         name = prefix + key
@@ -104,6 +109,8 @@ def _check_types(doc: dict, defaults: dict, source: str, prefix: str = "") -> No
                 raise FormatError(f"{source}: config key {name!r} must be an object, "
                                   f"got {json.dumps(val)}")
             _check_types(val, default, source, name + ".")
+        elif val is None and name in _NULLABLE_NUMBERS:
+            continue
         elif isinstance(default, (int, float)) and (
                 isinstance(val, bool) or not isinstance(val, (int, float))):
             raise FormatError(f"{source}: config key {name!r} must be a number, "

@@ -22,7 +22,7 @@ from .steering import (
     DoaGrid,
     NormalizedSVSet,
     SteeringVectorSet,
-    match_freq_bins,
+    match_freq_band,
     normalize_svs,
 )
 
@@ -442,10 +442,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         raise ParameterError(
             f"p = {config.p_norm} must be below the estimated alpha = {alpha.alpha:.3f}")
 
-    spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
-    # match_freq_bins drops only DC and fails on a missing bin, so the
-    # retained bins are one run: normalize a view of it, not a copy
-    band = slice(int(spec_idx[0]), int(spec_idx[-1]) + 1)
+    band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
     retained = _unchecked(
         spec, bins=spec.bins[:, band, :], first_bin=spec.first_bin + band.start,
         valid_mask=None if spec.valid_mask is None else spec.valid_mask[band])
@@ -455,7 +452,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
 
     i_hat = levy_estimator(sub_spec, tilde, alpha)
     psi = build_psi(tilde, alpha)
-    sketch = LevySketch(i_hat=i_hat, psi=psi, alpha=alpha, num_freqs=spec_idx.size)
+    sketch = LevySketch(i_hat=i_hat, psi=psi, alpha=alpha, num_freqs=sv_idx.size)
     measure = multiplicative_update(sketch, config, grid=svs.grid)
     measure.info.update({
         "alpha": alpha.alpha,
@@ -463,7 +460,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         "sparsity_lambda": config.sparsity_lambda,
         "iterations": config.iterations,
         "p_norm": config.p_norm,
-        "num_freqs": int(spec_idx.size),
+        "num_freqs": int(sv_idx.size),
         "num_frames": spec.num_frames,
         "masked_bins": int(sub_spec.valid_mask.size - np.count_nonzero(sub_spec.valid_mask)),
         "levy_clamped": int(np.count_nonzero(i_hat >= _LEVY_CEIL)),

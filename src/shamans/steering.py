@@ -290,3 +290,14 @@ def match_freq_bins(spec_freqs_hz, sv_freqs_hz, exclude_dc: bool = True,
     if not spec_idx:
         raise ShapeError("no overlapping frequency bins")
     return np.asarray(spec_idx), np.asarray(sv_idx)
+
+
+def match_freq_band(spec_freqs_hz, sv_freqs_hz):
+    """The non-DC spectrogram bins as a basic slice, with their SV indices.
+
+    ``match_freq_bins`` drops only DC and raises on a missing bin, so the
+    bins it retains are one contiguous run: indexing with the returned
+    slice gives a view where an index array would copy the band.
+    """
+    spec_idx, sv_idx = match_freq_bins(spec_freqs_hz, sv_freqs_hz, exclude_dc=True)
+    return slice(int(spec_idx[0]), int(spec_idx[-1]) + 1), sv_idx

@@ -161,6 +161,18 @@ class TestConfig:
         assert config["sv"]["path"] is None and config["array"]["seed"] is None
         assert config["stft"]["f_max_hz"] == 8000  # an int where the default is a float
 
+    def test_null_snr_gives_noiseless_scenes(self, tmp_path, small_config):
+        path = tmp_path / "config.json"
+        doc = json.loads(small_config.read_text())
+        doc.setdefault("scene", {})["snr_db"] = None
+        path.write_text(json.dumps(doc))
+        assert load_config(str(path))["scene"]["snr_db"] is None
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--config", str(path), "--out", str(out), "--count", "2"])
+        assert rc == 0
+        for scene_path in sorted(out.glob("scene_*.json")):
+            assert json.loads(scene_path.read_text())["snr_db"] is None
+
 
 class TestLocalize:
     def test_golden_scene_zero_error(self, tmp_path):

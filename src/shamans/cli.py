@@ -92,15 +92,26 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-# numeric keys whose consumer reads null as "off" (no additive noise)
-_NULLABLE_NUMBERS = {"scene.snr_db"}
+# numeric keys that also take null: no additive noise for scene.snr_db, a
+# seed derived from the master seed for array.seed and field.seed, the
+# default degree for fit.max_degree
+_NULLABLE_NUMBERS = {"scene.snr_db", "array.seed", "field.seed", "fit.max_degree"}
+# string keys with a closed set of values
+_CHOICES = {"array.kind": ("random", "positions"),
+            "scene.source_kind.kind": ("sas", "wav")}
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 def _check_types(doc: dict, defaults: dict, source: str, prefix: str = "") -> None:
     """Reject a value whose JSON type contradicts its default: a non-object
-    where the default is an object, a non-number where it is a number.
-    Keys without a default and keys whose default is null take any value,
-    and the keys in ``_NULLABLE_NUMBERS`` also take null."""
+    where the default is an object, a non-number where it is a number, and
+    anything but a list of numbers where it is a list. The keys in
+    ``_NULLABLE_NUMBERS`` take a number or null, the keys in ``_CHOICES``
+    one of their strings; other keys without a default, or whose default
+    is null, take any value."""
     for key, val in doc.items():
         default = defaults.get(key)
         name = prefix + key
@@ -109,10 +120,20 @@ def _check_types(doc: dict, defaults: dict, source: str, prefix: str = "") -> No
                 raise FormatError(f"{source}: config key {name!r} must be an object, "
                                   f"got {json.dumps(val)}")
             _check_types(val, default, source, name + ".")
-        elif val is None and name in _NULLABLE_NUMBERS:
-            continue
-        elif isinstance(default, (int, float)) and (
-                isinstance(val, bool) or not isinstance(val, (int, float))):
+        elif name in _CHOICES:
+            if val not in _CHOICES[name]:
+                choices = ", ".join(json.dumps(c) for c in _CHOICES[name])
+                raise FormatError(f"{source}: config key {name!r} must be one of "
+                                  f"{choices}, got {json.dumps(val)}")
+        elif name in _NULLABLE_NUMBERS:
+            if val is not None and not _is_number(val):
+                raise FormatError(f"{source}: config key {name!r} must be a number "
+                                  f"or null, got {json.dumps(val)}")
+        elif isinstance(default, list):
+            if not isinstance(val, list) or not all(map(_is_number, val)):
+                raise FormatError(f"{source}: config key {name!r} must be a list of "
+                                  f"numbers, got {json.dumps(val)}")
+        elif _is_number(default) and not _is_number(val):
             raise FormatError(f"{source}: config key {name!r} must be a number, "
                               f"got {json.dumps(val)}")
 

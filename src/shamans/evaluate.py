@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ParameterError, UndefinedMetricError
 
@@ -72,6 +72,66 @@ def circular_cell_distance(i: int, j: int, num_cells: int) -> int:
     return min(d, num_cells - d)
 
 
+def _shortest_augmenting_path(cost: np.ndarray) -> tuple:
+    """Minimum-cost assignment of a finite [R, C] matrix, R <= C or transposed.
+
+    The rectangular shortest-augmenting-path algorithm of Crouse (IEEE
+    TAES 2016) with the tie-breaking of scipy's ``linear_sum_assignment``:
+    the unvisited columns are scanned from the highest index down, and on
+    equal reduced cost a column that has no row yet wins. Returns
+    (row_indices, col_indices) sorted by row.
+    """
+    transpose = cost.shape[1] < cost.shape[0]
+    rows_of = (cost.T if transpose else cost).tolist()
+    nr, nc = len(rows_of), len(rows_of[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        min_val, i, sink = 0.0, cur, -1
+        remaining = list(range(nc - 1, -1, -1))
+        seen_rows, seen_cols = [False] * nr, [False] * nc
+        dist = [math.inf] * nc
+        while sink == -1:
+            index, lowest = -1, math.inf
+            seen_rows[i] = True
+            row, ui = rows_of[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < dist[j]:
+                    path[j], dist[j] = i, r
+                if dist[j] < lowest or (dist[j] == lowest and row4col[j] == -1):
+                    lowest, index = dist[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # update the duals, then flip the path's assignments
+        u[cur] += min_val
+        for i in range(nr):
+            if seen_rows[i] and i != cur:
+                u[i] += min_val - dist[col4row[i]]
+        for j in range(nc):
+            if seen_cols[j]:
+                v[j] -= min_val - dist[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    col4row = np.asarray(col4row, dtype=np.intp)
+    if transpose:
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(nr), col4row
+
+
 def hungarian_assign(cost) -> tuple:
     """Minimum-cost one-to-one assignment of rows to columns.
 
@@ -82,12 +142,14 @@ def hungarian_assign(cost) -> tuple:
     cost = np.atleast_2d(np.asarray(cost, dtype=np.float64))
     if cost.size == 0:
         return np.empty(0, dtype=int), np.empty(0, dtype=int), 0.0
+    if not np.all(np.isfinite(cost)):
+        raise ParameterError("assignment costs must be finite")
     n, k = cost.shape
     work = cost
     if n > k:
         pad = np.full((n, n - k), cost.max() + 1.0 + MISS_COST_DEG)
         work = np.hstack([cost, pad])
-    rows, cols = linear_sum_assignment(work)
+    rows, cols = _shortest_augmenting_path(work)
     total = float(cost[rows[cols < k], cols[cols < k]].sum())
     return rows, cols, total
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import gammaln, lpmv
 
 from .errors import ParameterError, ShapeError, SingularSystemError
 from .steering import DoaGrid, SteeringVectorSet, read_svset_raw, write_svset_raw
@@ -42,21 +40,47 @@ def sh_matrix(directions, max_degree: int) -> np.ndarray:
         raise ParameterError("directions must be unit-norm")
     z = np.clip(d[:, 2], -1.0, 1.0)
     az = np.arctan2(d[:, 1], d[:, 0])
+    legendre = _assoc_legendre(z, max_degree)
 
-    cols = []
+    out = np.empty((d.shape[0], num_sh_coeffs(max_degree)))
+    col = 0
     for nu in range(max_degree + 1):
         for mu in range(-nu, nu + 1):
             m = abs(mu)
             norm = math.sqrt((2 * nu + 1) / (4.0 * np.pi)
-                             * math.exp(gammaln(nu - m + 1) - gammaln(nu + m + 1)))
-            assoc = lpmv(m, nu, z)
+                             * (math.factorial(nu - m) / math.factorial(nu + m)))
+            assoc = legendre[nu, m]
             if mu == 0:
-                cols.append(norm * assoc)
+                out[:, col] = norm * assoc
             elif mu > 0:
-                cols.append(_SQRT2 * norm * assoc * np.cos(m * az))
+                out[:, col] = _SQRT2 * norm * assoc * np.cos(m * az)
             else:
-                cols.append(_SQRT2 * norm * assoc * np.sin(m * az))
-    return np.stack(cols, axis=1)
+                out[:, col] = _SQRT2 * norm * assoc * np.sin(m * az)
+            col += 1
+    return out
+
+
+def _assoc_legendre(z: np.ndarray, max_degree: int) -> np.ndarray:
+    """Associated Legendre functions P_nu^m(z) with the Condon-Shortley
+    phase, [nu, m, N] for 0 <= m <= nu <= max_degree (zero above nu).
+
+    Per order m: P_m^m = (-1)^m (2m - 1)!! (1 - z^2)^(m/2), then the
+    upward recurrence (nu - m) P_nu^m = (2 nu - 1) z P_{nu-1}^m
+    - (nu + m - 1) P_{nu-2}^m, with P_{m-1}^m = 0.
+    """
+    p = np.zeros((max_degree + 1, max_degree + 1, z.size))
+    sine = np.sqrt(1.0 - z * z)
+    diagonal = np.ones_like(z)
+    for m in range(max_degree + 1):
+        if m > 0:
+            diagonal = -(2 * m - 1) * sine * diagonal
+        p[m, m] = diagonal
+        if m < max_degree:
+            p[m + 1, m] = (2 * m + 1) * z * diagonal
+        for nu in range(m + 2, max_degree + 1):
+            p[nu, m] = ((2 * nu - 1) * z * p[nu - 1, m]
+                        - (nu + m - 1) * p[nu - 2, m]) / (nu - m)
+    return p
 
 
 def sh_expand(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -118,6 +142,8 @@ class SparseSvMeasurements:
         self.freqs_hz = np.asarray(self.freqs_hz, dtype=np.float64)
         if self.directions.shape[0] < 1:
             raise ParameterError("need at least one measurement")
+        if not (np.all(np.isfinite(self.directions)) and np.all(np.isfinite(self.values))):
+            raise ParameterError("measurement directions and values must be finite")
         if np.any(np.abs(np.linalg.norm(self.directions, axis=1) - 1.0) > 1e-12):
             raise ParameterError("measurement directions must be unit-norm")
         if self.values.shape[0] != self.directions.shape[0]:
@@ -144,13 +170,16 @@ class ShCoefficients:
 
 
 def _ridge_solve(gram: np.ndarray, rhs: np.ndarray, penalty: np.ndarray):
+    # numpy has no triangular solve, so the Cholesky factor serves only as
+    # the positive-definiteness check and the solve is one LU
+    system = gram + penalty
     try:
-        factor = cho_factor(gram + penalty)
+        np.linalg.cholesky(system)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
             "normal equations are singular; increase ridge_lambda or the "
             "number of measurements") from exc
-    return cho_solve(factor, rhs)
+    return np.linalg.solve(system, rhs)
 
 
 def fit_sh(measurements: SparseSvMeasurements, config: ShBasisConfig) -> ShCoefficients:

@@ -363,8 +363,8 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
 def build_psi(svs: NormalizedSVSet, alpha: AlphaParam) -> np.ndarray:
     """Stacked |a~_l^H a~_l'|^alpha coherence blocks, [F' * L, L]."""
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
-    gram = a.conj() @ a.transpose(0, 2, 1)  # one batched [L, M] @ [M, L] per bin
-    psi = np.abs(gram) ** alpha.alpha
+    psi = np.abs(a.conj() @ a.transpose(0, 2, 1))  # one batched [L, M] @ [M, L] per bin
+    psi **= alpha.alpha  # in place: no second [F, L, L] temporary
     f, l, _ = psi.shape
     return psi.reshape(f * l, l)
 

@@ -3,8 +3,11 @@
 import copy
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +150,27 @@ class TestConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         rc = main(["localize", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and f"{key!r} must be {kind}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, key, kind", [
+        ({"array": {"kind": "Positions", "mic_positions_m": [[0, 0, 0], [0.1, 0, 0]]}},
+         "array.kind", 'one of "random", "positions"'),
+        ({"array": {"seed": "x"}}, "array.seed", "a number or null"),
+        ({"field": {"seed": "x"}}, "field.seed", "a number or null"),
+        ({"scene": {"source_indices": 5}}, "scene.source_indices", "a list of numbers"),
+        ({"scene": {"source_kind": {"kind": "WAV"}}}, "scene.source_kind.kind",
+         'one of "sas", "wav"'),
+    ])
+    def test_unusable_config_value_exits_2(self, tmp_path, capsys, doc, key, kind):
+        # before: a random array in place of the given positions (rc 0), a
+        # ValueError or TypeError traceback (rc 1), SaS sources in place of WAVs
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["localize", "--config", str(path), "--sv-model", "alg",
+                   "--method", "music-1", "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{path}:" in err and f"{key!r} must be {kind}" in err
@@ -440,3 +464,43 @@ def test_readme_commands_parse():
             cli.build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {command}")
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+from shamans.cli import main
+
+config, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["simulate", "--config", config, "--out", f"{out}/sim", "--emit-ref-svset"],
+    ["fit", "--config", config, "--measurements", f"{out}/sim/ref.svst", "--n-sv", "12",
+     "--method", "sh", "--max-degree", "3", "--out", f"{out}/sh.svst"],
+    ["fit", "--config", config, "--measurements", f"{out}/sim/ref.svst", "--n-sv", "12",
+     "--method", "nslite", "--out", f"{out}/ns.svst"],
+    ["localize", "--config", config, "--out", f"{out}/loc"],
+    ["localize", "--config", config, "--sv-model", "nslite", "--sv-path",
+     f"{out}/ns.svst", "--out", f"{out}/loc-ns"],
+    ["sweep", "--config", f"{out}/sweep.json", "--count", "1", "--methods",
+     "shamans,music-1,srp-phat", "--sv-models", "ref,alg,sh", "--out", f"{out}/sweep"],
+):
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_paths_import_no_scipy(small_config, tmp_path):
+    # numpy is the only runtime dependency: scipy serves the tests as an oracle
+    doc = json.loads(small_config.read_text())
+    doc["sv"]["path"] = str(tmp_path / "sh.svst")
+    (tmp_path / "sweep.json").write_text(json.dumps(doc))
+    src = Path(__file__).parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src),
+                                                       os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(small_config),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    rows = read_rows(tmp_path / "sweep" / "detail.csv")
+    assert len(rows) == 9 and all(r["status"] == "ok" for r in rows)

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from shamans.errors import ParameterError, UndefinedMetricError
 from shamans.evaluate import (
+    MISS_COST_DEG,
+    _shortest_augmenting_path,
     accuracy_at,
     angular_error,
     auc_source_count,
@@ -144,6 +146,50 @@ class TestHungarian:
         real = [(r, c) for r, c in zip(rows, cols) if c < 1]
         assert len(real) == 1
         assert total == 1.0
+
+    def test_non_finite_cost_raises(self):
+        with pytest.raises(ParameterError):
+            hungarian_assign([[1.0, np.nan], [2.0, 1.0]])
+
+
+def grid_error_matrix(rng, n, k):
+    """Circular errors between n truths and k estimates on a 6-degree grid:
+    small integers, so equal-cost assignments are common."""
+    truth = rng.integers(0, 60, n) * 6.0
+    est = rng.integers(0, 60, k) * 6.0
+    delta = np.abs(truth[:, None] - est[None, :]) % 360.0
+    return np.minimum(delta, 360.0 - delta)
+
+
+class TestAssignmentOracle:
+    """The assignment against scipy's linear_sum_assignment, the same
+    algorithm and tie-breaking: with tied totals, another optimal pairing
+    would change the per-source errors, so the pairs themselves must match."""
+
+    def test_same_pairs_on_tie_heavy_grid_errors(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(2016)
+        for _ in range(10_000):
+            n, k = int(rng.integers(1, 8)), int(rng.integers(1, 11))
+            cost = grid_error_matrix(rng, n, k)
+            rows, cols = _shortest_augmenting_path(cost)
+            want_rows, want_cols = optimize.linear_sum_assignment(cost)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            rows, cols, total = hungarian_assign(cost)
+            work = cost if n <= k else np.hstack(
+                [cost, np.full((n, n - k), cost.max() + 1.0 + MISS_COST_DEG)])
+            want_rows, want_cols = optimize.linear_sum_assignment(work)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            assert total == cost[rows[cols < k], cols[cols < k]].sum()
+
+    def test_same_pairs_on_real_costs(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(6)
+        for _ in range(500):
+            cost = rng.random((int(rng.integers(1, 8)), int(rng.integers(1, 11))))
+            rows, cols = _shortest_augmenting_path(cost)
+            want_rows, want_cols = optimize.linear_sum_assignment(cost)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
 
 class TestAccuracy:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shamans.errors import FormatError, ShapeError, SingularSystemError
+from shamans import cli, interp
+from shamans.errors import FormatError, ParameterError, ShapeError, SingularSystemError
 from shamans.interp import (
     CoordNetConfig,
     ShBasisConfig,
@@ -103,6 +104,14 @@ class TestFitSh:
                                     [100.0, 200.0])
         coeffs = fit_sh(meas, ShBasisConfig(max_degree=2, ridge_lambda=1e-3)).coeffs
         assert np.all(np.isfinite(coeffs))
+
+    @pytest.mark.parametrize("where", ["directions", "values"])
+    def test_non_finite_measurements_raise(self, where):
+        dirs = fibonacci_sphere(9)
+        values = np.ones((9, 1, 1), dtype=complex)
+        (dirs if where == "directions" else values)[4] = np.nan
+        with pytest.raises(ParameterError):
+            SparseSvMeasurements(dirs, values, [100.0])
 
     def test_underdetermined_without_ridge_raises(self):
         meas = SparseSvMeasurements(fibonacci_sphere(4), np.ones((4, 1, 1), dtype=complex),
@@ -303,3 +312,91 @@ class TestArtifacts:
         save_fit_artifact(model, path)
         with pytest.raises(FormatError, match="model.svst: a fit artifact"):
             load_svset(path)
+
+
+def lpmv_sh_matrix(directions, max_degree):
+    """The real SH basis from scipy's lpmv and gammaln: the oracle for the
+    recurrence in sh_matrix."""
+    from scipy import special
+
+    z = np.clip(directions[:, 2], -1.0, 1.0)
+    az = np.arctan2(directions[:, 1], directions[:, 0])
+    cols = []
+    for nu in range(max_degree + 1):
+        for mu in range(-nu, nu + 1):
+            m = abs(mu)
+            norm = np.sqrt((2 * nu + 1) / (4 * np.pi) * np.exp(
+                special.gammaln(nu - m + 1) - special.gammaln(nu + m + 1)))
+            azimuthal = 1.0 if mu == 0 else np.sqrt(2.0) * (
+                np.cos(m * az) if mu > 0 else np.sin(m * az))
+            cols.append(norm * special.lpmv(m, nu, z) * azimuthal)
+    return np.stack(cols, axis=1)
+
+
+def cho_ridge_solve(gram, rhs, penalty):
+    """The ridge solve through scipy's Cholesky factor and solve."""
+    from scipy import linalg
+
+    return linalg.cho_solve(linalg.cho_factor(gram + penalty), rhs)
+
+
+@pytest.fixture(scope="module")
+def default_field_samples():
+    """32 grid directions of the CLI's default field, sampled as `shamans fit`
+    samples a measured set: all on the horizontal plane."""
+    config = cli.load_config(None)
+    params, grid = cli.build_stft_params(config), cli.build_grid(config)
+    ref = cli.build_field(config, cli.build_array(config), grid, params).on_grid(grid)
+    chosen = np.sort(np.random.default_rng(3).choice(len(grid), 32, replace=False))
+    return grid, SparseSvMeasurements(grid.directions()[chosen], ref.values[chosen],
+                                      ref.freqs_hz)
+
+
+class TestScipyOracles:
+    """The numpy SH basis and ridge solves against the scipy routines they
+    replaced."""
+
+    def test_sh_matrix_matches_lpmv(self):
+        pytest.importorskip("scipy")
+        directions = np.vstack([random_sphere(300, 26), fibonacci_sphere(200),
+                                [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0]],
+                                DoaGrid.uniform(60, 1.7).directions()])
+        for degree in (0, 1, 2, 5, 8, 16, 26):
+            want = lpmv_sh_matrix(directions, degree)
+            assert np.max(np.abs(sh_matrix(directions, degree) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("degree, count, ridge", [(3, 20, 1e-6), (4, 60, 0.0),
+                                                      (8, 200, 1e-6)])
+    def test_sh_fit_matches_cholesky(self, monkeypatch, degree, count, ridge):
+        pytest.importorskip("scipy")
+        truth = bandlimited_field(degree, 2, 3, seed=degree)
+        pts = random_sphere(count, degree + 1)
+        meas = SparseSvMeasurements(pts, truth.predict(pts), truth.freqs_hz)
+        config = ShBasisConfig(max_degree=degree, ridge_lambda=ridge)
+        got = fit_sh(meas, config).coeffs
+        monkeypatch.setattr(interp, "_ridge_solve", cho_ridge_solve)
+        want = fit_sh(meas, config).coeffs
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_sh_fit_on_the_default_field_predicts_the_same(self, monkeypatch,
+                                                           default_field_samples):
+        pytest.importorskip("scipy")
+        # on the horizontal plane the harmonics are far from independent and
+        # only the ridge holds the normal matrix up, so the coefficients move
+        # along near-null directions; the predictions on the plane do not
+        grid, meas = default_field_samples
+        config = ShBasisConfig(max_degree=ShBasisConfig.default_degree(32))
+        got = fit_sh(meas, config).predict(grid.directions())
+        monkeypatch.setattr(interp, "_ridge_solve", cho_ridge_solve)
+        want = fit_sh(meas, config).predict(grid.directions())
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_nslite_matches_cholesky(self, monkeypatch, default_field_samples):
+        pytest.importorskip("scipy")
+        # the default normal matrix has a condition number near 1e12, so
+        # any two backward-stable solvers differ at this level
+        grid, meas = default_field_samples
+        got = fit_coordnet(meas, CoordNetConfig()).predict(grid.directions())
+        monkeypatch.setattr(interp, "_ridge_solve", cho_ridge_solve)
+        want = fit_coordnet(meas, CoordNetConfig()).predict(grid.directions())
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))

@@ -446,6 +446,17 @@ class TestBuildPsi:
         assert got.shape == (32 * 60, 60)
         assert np.max(np.abs(got - seed_build_psi(svs, AlphaParam(alpha)))) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.37, 2.0])
+    def test_in_place_power_is_bit_identical(self, alpha):
+        rng = np.random.default_rng(int(100 * alpha))
+        shape = (60, 6, 16)
+        values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        svs = normalize_svs(SteeringVectorSet(values, DoaGrid.uniform(60, 1.7),
+                                              np.arange(1, 17) * 62.5))
+        a = svs.values.transpose(2, 0, 1)
+        want = np.abs(a.conj() @ a.transpose(0, 2, 1)) ** alpha
+        assert np.array_equal(build_psi(svs, AlphaParam(alpha)), want.reshape(-1, 60))
+
 
 def seed_build_psi(svs, alpha):
     """Reference: the Gram blocks from one complex einsum."""

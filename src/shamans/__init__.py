@@ -16,13 +16,11 @@ from .interp import (
     fit_sh,
     interp_error_report,
     interp_svs,
-    sh_basis,
 )
 from .scenes import SceneSpec, SceneTruth, scene_batch, synth_scene, synthetic_measured_svs
 from .signal import AudioBuffer, Spectrogram, StftParams, read_wav, stft, write_wav
 from .stable import (
     AlphaParam,
-    NoiseModel,
     LevySketch,
     SolverConfig,
     SpatialMeasure,

@@ -12,6 +12,7 @@ import argparse
 import copy
 import functools
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -92,10 +93,11 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-# numeric keys that also take null: no additive noise for scene.snr_db, a
-# seed derived from the master seed for array.seed and field.seed, the
-# default degree for fit.max_degree
-_NULLABLE_NUMBERS = {"scene.snr_db", "array.seed", "field.seed", "fit.max_degree"}
+# numeric keys that also take null, with the type of their other values:
+# no additive noise for scene.snr_db, a seed derived from the master seed
+# for array.seed and field.seed, the default degree for fit.max_degree
+_NULLABLE_NUMBERS = {"scene.snr_db": float, "array.seed": int, "field.seed": int,
+                     "fit.max_degree": int}
 # string keys with a closed set of values
 _CHOICES = {"array.kind": ("random", "positions"),
             "scene.source_kind.kind": ("sas", "wav")}
@@ -105,42 +107,74 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _is_integer(val) -> bool:
+    return _is_number(val) and (isinstance(val, int) or val.is_integer())
+
+
+def _number_kind(val, kind: type) -> str | None:
+    """What ``val`` must be when it is not a number of ``kind`` (int or
+    float; an integral float counts as an int), else None."""
+    if not _is_number(val):
+        return "a number"
+    if kind is int and not _is_integer(val):
+        return "an integer"
+    return None
+
+
 def _check_types(doc: dict, defaults: dict, source: str, prefix: str = "") -> None:
     """Reject a value whose JSON type contradicts its default: a non-object
-    where the default is an object, a non-number where it is a number, and
-    anything but a list of numbers where it is a list. The keys in
-    ``_NULLABLE_NUMBERS`` take a number or null, the keys in ``_CHOICES``
-    one of their strings; other keys without a default, or whose default
-    is null, take any value."""
+    where the default is an object, a non-number (or a non-integer) where
+    it is a number (an integer), and anything but a list of such numbers
+    where it is a list. The keys in ``_NULLABLE_NUMBERS`` take a number of
+    their type or null, the keys in ``_CHOICES`` one of their strings;
+    other keys without a default, or whose default is null, take any
+    value."""
     for key, val in doc.items():
         default = defaults.get(key)
         name = prefix + key
+        problem = None
         if isinstance(default, dict):
             if not isinstance(val, dict):
-                raise FormatError(f"{source}: config key {name!r} must be an object, "
-                                  f"got {json.dumps(val)}")
-            _check_types(val, default, source, name + ".")
+                problem = "an object"
+            else:
+                _check_types(val, default, source, name + ".")
         elif name in _CHOICES:
             if val not in _CHOICES[name]:
-                choices = ", ".join(json.dumps(c) for c in _CHOICES[name])
-                raise FormatError(f"{source}: config key {name!r} must be one of "
-                                  f"{choices}, got {json.dumps(val)}")
+                problem = "one of " + ", ".join(json.dumps(c) for c in _CHOICES[name])
         elif name in _NULLABLE_NUMBERS:
-            if val is not None and not _is_number(val):
-                raise FormatError(f"{source}: config key {name!r} must be a number "
-                                  f"or null, got {json.dumps(val)}")
+            kind = None if val is None else _number_kind(val, _NULLABLE_NUMBERS[name])
+            if kind:
+                problem = f"{kind} or null"
         elif isinstance(default, list):
             if not isinstance(val, list) or not all(map(_is_number, val)):
-                raise FormatError(f"{source}: config key {name!r} must be a list of "
-                                  f"numbers, got {json.dumps(val)}")
-        elif _is_number(default) and not _is_number(val):
-            raise FormatError(f"{source}: config key {name!r} must be a number, "
+                problem = "a list of numbers"
+            elif not all(map(_is_integer, val)) and all(map(_is_integer, default)):
+                problem = "a list of integers"
+        elif _is_number(default):
+            problem = _number_kind(val, type(default))
+        if problem:
+            raise FormatError(f"{source}: config key {name!r} must be {problem}, "
                               f"got {json.dumps(val)}")
 
 
+def _is_positions(val) -> bool:
+    """Whether ``val`` is a nonempty [M, 3] list of finite numbers."""
+    return (isinstance(val, list) and len(val) > 0
+            and all(isinstance(row, list) and len(row) == 3
+                    and all(_is_number(v) and math.isfinite(v) for v in row)
+                    for row in val))
+
+
+def _given(overrides: dict) -> dict:
+    """The overrides without the keys set to None (flags not given)."""
+    return {key: _given(val) if isinstance(val, dict) else val
+            for key, val in overrides.items() if val is not None}
+
+
 def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """The defaults merged with a JSON file and overrides, as a fresh copy
-    that the caller may mutate without touching ``DEFAULT_CONFIG``."""
+    """The defaults merged with a JSON file and then with overrides, as a
+    fresh copy that the caller may mutate without touching
+    ``DEFAULT_CONFIG``. An override of None leaves the value as it was."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -153,7 +187,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> dict:
         _check_types(doc, DEFAULT_CONFIG, path)
         config = _deep_merge(config, doc)
     if overrides:
-        config = _deep_merge(config, overrides)
+        config = _deep_merge(config, _given(overrides))
+    positions = config["array"].get("mic_positions_m")
+    if config["array"]["kind"] == "positions" and not _is_positions(positions):
+        raise FormatError(f"{path or 'overrides'}: config key 'array.mic_positions_m' "
+                          "must be an [M, 3] list of numbers when array.kind is "
+                          f"\"positions\", got {json.dumps(positions)}")
     return config
 
 
@@ -243,18 +282,11 @@ def run_method(method: str, spectrogram, svs, config: dict):
 
 
 def cmd_fit(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    fit_cfg = dict(config["fit"])
-    if args.n_sv is not None:
-        fit_cfg["n_sv"] = args.n_sv
-    if args.method is not None:
-        fit_cfg["method"] = args.method
-    if args.max_degree is not None:
-        fit_cfg["max_degree"] = args.max_degree
-    if args.ridge_lambda is not None:
-        fit_cfg["ridge_lambda"] = args.ridge_lambda
+    config = load_config(args.config, {
+        "seed": args.seed,
+        "fit": {"n_sv": args.n_sv, "method": args.method, "max_degree": args.max_degree,
+                "ridge_lambda": args.ridge_lambda}})
+    fit_cfg = config["fit"]
 
     measured = load_svset(args.measurements)
     n_sv = int(fit_cfg["n_sv"])
@@ -294,9 +326,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = load_config(args.config, {"seed": args.seed})
     params = build_stft_params(config)
     grid = build_grid(config)
     geometry = build_array(config)
@@ -338,14 +368,9 @@ def _localize_once(config, spectrogram, svs, truth, method):
 
 
 def cmd_localize(args) -> int:
-    config = load_config(args.config)
-    for key, val in (("method", args.method), ("seed", args.seed)):
-        if val is not None:
-            config[key] = val
-    if args.sv_model is not None:
-        config["sv"]["model"] = args.sv_model
-    if args.sv_path is not None:
-        config["sv"]["path"] = args.sv_path
+    config = load_config(args.config, {
+        "seed": args.seed, "method": args.method,
+        "sv": {"model": args.sv_model, "path": args.sv_path}})
 
     params = build_stft_params(config)
     grid = build_grid(config)
@@ -391,9 +416,7 @@ def _fault_status(prefix: str, exc: Exception) -> str:
 
 
 def cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config["seed"] = args.seed
+    config = load_config(args.config, {"seed": args.seed})
     methods = args.methods.split(",")
     sv_models = args.sv_models.split(",")
     grid = build_grid(config)

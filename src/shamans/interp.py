@@ -17,7 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParameterError, ShapeError, SingularSystemError
-from .steering import DoaGrid, SteeringVectorSet, read_svset_raw, write_svset_raw
+from .steering import (
+    DoaGrid,
+    SteeringVectorSet,
+    read_svset_raw,
+    same_freq_axis,
+    write_svset_raw,
+)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -93,11 +99,6 @@ def sh_expand(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     flat = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(p, m * f)
     out = basis @ flat.view(np.float64)  # [N, 2 M F], re/im interleaved
     return out.view(np.complex128).reshape(-1, m, f)
-
-
-def sh_basis(direction, max_degree: int) -> np.ndarray:
-    """Harmonic vector of length (max_degree + 1)^2 for one unit direction."""
-    return sh_matrix(np.asarray(direction)[None, :], max_degree)[0]
 
 
 def fibonacci_sphere(count: int) -> np.ndarray:
@@ -299,7 +300,7 @@ def interp_svs(model, grid: DoaGrid, freqs_hz) -> SteeringVectorSet:
     a shape error rather than silent extrapolation.
     """
     freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
-    if freqs_hz.size != model.freqs_hz.size or not np.allclose(freqs_hz, model.freqs_hz):
+    if not same_freq_axis(freqs_hz, model.freqs_hz):
         raise ShapeError("requested frequencies differ from the fitted model's")
     values = model.predict(grid.directions())
     return SteeringVectorSet(values=values, grid=grid, freqs_hz=freqs_hz,
@@ -311,8 +312,7 @@ def interp_error_report(truth: SteeringVectorSet,
     """Per-frequency relative Frobenius error of an interpolated SV set."""
     if (len(truth.grid) != len(estimate.grid)
             or not np.allclose(truth.grid.azimuths_deg, estimate.grid.azimuths_deg)
-            or truth.num_freqs != estimate.num_freqs
-            or not np.allclose(truth.freqs_hz, estimate.freqs_hz)):
+            or not same_freq_axis(truth.freqs_hz, estimate.freqs_hz)):
         raise ShapeError("truth and estimate must share grid and frequencies")
     diff = np.linalg.norm((estimate.values - truth.values).reshape(-1, truth.num_freqs), axis=0)
     ref = np.linalg.norm(truth.values.reshape(-1, truth.num_freqs), axis=0)

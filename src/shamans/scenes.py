@@ -25,7 +25,7 @@ from .evaluate import circular_cell_distance
 from .interp import SparseSvMeasurements, fibonacci_sphere, sh_expand, sh_matrix
 from .signal import AudioBuffer, Spectrogram, StftParams, read_wav, stft
 from .stable import sample_sas
-from .steering import ArrayGeometry, DoaGrid, SteeringVectorSet, free_field
+from .steering import ArrayGeometry, DoaGrid, SteeringVectorSet, free_field, same_freq_axis
 
 _STREAM_SOURCE = 0x51
 _STREAM_NOISE = 0x52
@@ -155,8 +155,7 @@ def synth_scene(spec: SceneSpec, svs: SteeringVectorSet,
         raise SceneSpecError("scene too short for one STFT frame")
     num_frames = (num_samples - params.frame_size) // params.hop + 1
 
-    freqs_hz = params.freqs_hz
-    if svs.num_freqs != freqs_hz.size or not np.allclose(svs.freqs_hz, freqs_hz):
+    if not same_freq_axis(svs.freqs_hz, params.freqs_hz):
         raise ShapeError("SV frequency axis does not match the STFT settings")
 
     m, f, t = svs.num_mics, svs.num_freqs, num_frames
@@ -351,14 +350,6 @@ class SyntheticSvField:
         directions = DoaGrid(azimuths, grid.radius_m, grid.elevation_deg).directions()
         return SparseSvMeasurements(directions=directions,
                                     values=self.evaluate(directions),
-                                    freqs_hz=self.freqs_hz)
-
-    def sample_sphere(self, count: int, seed: int) -> SparseSvMeasurements:
-        """Random full-sphere measurements."""
-        rng = np.random.default_rng(seed)
-        xyz = rng.standard_normal((count, 3))
-        xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
-        return SparseSvMeasurements(directions=xyz, values=self.evaluate(xyz),
                                     freqs_hz=self.freqs_hz)
 
 

@@ -24,6 +24,7 @@ from .steering import (
     SteeringVectorSet,
     match_freq_band,
     normalize_svs,
+    same_freq_axis,
 )
 
 # fixed evaluation points of the empirical characteristic function; the
@@ -52,24 +53,9 @@ class AlphaParam:
 
 
 @dataclass
-class NoiseModel:
-    """Isotropic elliptic stable noise scale for the simulator."""
-
-    epsilon: float
-    alpha: float = 2.0
-
-    def __post_init__(self):
-        if self.epsilon < 0:
-            raise ParameterError("epsilon must be nonnegative")
-
-    @property
-    def c_alpha(self) -> float:
-        return (self.epsilon / 2.0) ** (self.alpha / 2.0)
-
-
-@dataclass
 class SolverConfig:
-    """Multiplicative-update settings."""
+    """Multiplicative-update settings. ``beta`` names the divergence of the
+    updates; only the KL divergence (beta = 1) is implemented."""
 
     beta: float = 1.0
     sparsity_lambda: float = 1e-3
@@ -77,6 +63,8 @@ class SolverConfig:
     p_norm: float = 1.0
 
     def __post_init__(self):
+        if self.beta != 1.0:
+            raise ParameterError(f"beta must be 1 (KL updates), got {self.beta}")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
         if self.sparsity_lambda < 0:
@@ -327,7 +315,7 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     to [F, L] sums. Working memory is bounded by ``_CHUNK_BYTES`` and does
     not grow with T.
     """
-    if spec.num_freqs != svs.num_freqs or not np.allclose(spec.freqs_hz, svs.freqs_hz):
+    if not same_freq_axis(spec.freqs_hz, svs.freqs_hz):
         raise ShapeError("spectrogram and SV set must share the frequency axis")
     if spec.num_channels != svs.num_mics:
         raise ShapeError("spectrogram and SV set must share the channel count")
@@ -372,15 +360,14 @@ def build_psi(svs: NormalizedSVSet, alpha: AlphaParam) -> np.ndarray:
 def multiplicative_update(sketch: LevySketch, config: SolverConfig,
                           upsilon0: np.ndarray | None = None,
                           grid: DoaGrid | None = None) -> SpatialMeasure:
-    """Sparse beta-divergence multiplicative updates for the spatial measure.
+    """Sparse KL (beta = 1) multiplicative updates for the spatial measure.
 
     Starts from the all-ones vector (unless ``upsilon0`` is given) and
     applies exactly ``iterations`` updates
 
-        ups <- ups * Psi^T((Psi ups)^(beta-2) * i_hat)
-                   / (Psi^T((Psi ups)^(beta-1)) + lambda)
+        ups <- ups * Psi^T(i_hat / (Psi ups)) / (Psi^T 1 + lambda)
 
-    flooring Psi ups at 1e-12 before negative powers. Nonnegativity is
+    flooring Psi ups at 1e-12 before the division. Nonnegativity is
     preserved at every iterate.
 
     ``info["late_rel_change"]`` is ||ups_end - ups_k||_1 / ||ups_end||_1
@@ -397,21 +384,13 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     ups = np.ones(num_dirs) if upsilon0 is None else np.asarray(upsilon0, dtype=np.float64).copy()
     if ups.size != num_dirs:
         raise ShapeError("upsilon0 length must match psi columns")
-    beta, lam = config.beta, config.sparsity_lambda
-
-    col_sums = psi.sum(axis=0)  # denominator is constant when beta = 1
+    den = np.maximum(psi.sum(axis=0) + config.sparsity_lambda, 1e-300)  # constant
     late_start = config.iterations - max(1, config.iterations // 10)
     for it in range(config.iterations):
         if it == late_start:
             ups_late = ups.copy()
         pv = np.maximum(psi @ ups, 1e-12)
-        if beta == 1.0:
-            num = psi.T @ (i_hat / pv)
-            den = col_sums + lam
-        else:
-            num = psi.T @ (pv ** (beta - 2.0) * i_hat)
-            den = psi.T @ (pv ** (beta - 1.0)) + lam
-        ups = ups * num / np.maximum(den, 1e-300)
+        ups = ups * (psi.T @ (i_hat / pv)) / den
     late_rel_change = float(np.abs(ups - ups_late).sum() / max(ups.sum(), 1e-300))
     return SpatialMeasure(upsilon=ups, grid=grid,
                           info={"late_rel_change": late_rel_change})

@@ -268,36 +268,35 @@ def read_svset_raw(path):
     return flat.reshape(n0, m, f), axis0, freqs, radius, elevation, tag_byte
 
 
-def match_freq_bins(spec_freqs_hz, sv_freqs_hz, exclude_dc: bool = True,
-                    tol_hz: float = 1e-6):
-    """Align a spectrogram frequency axis with an SV set's.
+# two frequency axes agree when every pair of bins is within this many Hz
+_FREQ_TOL_HZ = 1e-6
 
-    Returns (spec_idx, sv_idx) such that spec_freqs[spec_idx] equals
-    sv_freqs[sv_idx]; raises ShapeError when a needed bin is missing.
-    """
-    spec_freqs_hz = np.asarray(spec_freqs_hz, dtype=np.float64)
-    sv_freqs_hz = np.asarray(sv_freqs_hz, dtype=np.float64)
-    spec_idx = []
-    sv_idx = []
-    for i, fz in enumerate(spec_freqs_hz):
-        if exclude_dc and fz == 0.0:
-            continue
-        hits = np.nonzero(np.abs(sv_freqs_hz - fz) <= tol_hz)[0]
-        if hits.size == 0:
-            raise ShapeError(f"SV set has no bin at {fz:.3f} Hz")
-        spec_idx.append(i)
-        sv_idx.append(int(hits[0]))
-    if not spec_idx:
-        raise ShapeError("no overlapping frequency bins")
-    return np.asarray(spec_idx), np.asarray(sv_idx)
+
+def same_freq_axis(freqs_a, freqs_b) -> bool:
+    """Whether two frequency axes have the same bins, each within 1e-6 Hz."""
+    freqs_a = np.asarray(freqs_a, dtype=np.float64)
+    freqs_b = np.asarray(freqs_b, dtype=np.float64)
+    return freqs_a.shape == freqs_b.shape and bool(
+        np.all(np.abs(freqs_a - freqs_b) <= _FREQ_TOL_HZ))
 
 
 def match_freq_band(spec_freqs_hz, sv_freqs_hz):
-    """The non-DC spectrogram bins as a basic slice, with their SV indices.
+    """Align a spectrogram frequency axis with an SV set's.
 
-    ``match_freq_bins`` drops only DC and raises on a missing bin, so the
-    bins it retains are one contiguous run: indexing with the returned
-    slice gives a view where an index array would copy the band.
+    Every spectrogram bin but DC needs an SV bin within 1e-6 Hz; the first
+    such SV bin is used. Returns the retained spectrogram bins as a basic
+    slice (on a spectrogram's axis DC can only lead, so they are one run
+    and indexing gives a view) and their SV indices as an array. Raises
+    ShapeError when a needed bin is missing or nothing is retained.
     """
-    spec_idx, sv_idx = match_freq_bins(spec_freqs_hz, sv_freqs_hz, exclude_dc=True)
-    return slice(int(spec_idx[0]), int(spec_idx[-1]) + 1), sv_idx
+    spec_freqs_hz = np.asarray(spec_freqs_hz, dtype=np.float64)
+    sv_freqs_hz = np.asarray(sv_freqs_hz, dtype=np.float64)
+    spec_idx = np.flatnonzero(spec_freqs_hz != 0.0)
+    if spec_idx.size == 0:
+        raise ShapeError("no overlapping frequency bins")
+    hits = np.abs(sv_freqs_hz[None, :] - spec_freqs_hz[spec_idx, None]) <= _FREQ_TOL_HZ
+    found = hits.any(axis=1)
+    if not found.all():
+        fz = spec_freqs_hz[spec_idx[np.argmin(found)]]
+        raise ShapeError(f"SV set has no bin at {fz:.3f} Hz")
+    return slice(int(spec_idx[0]), int(spec_idx[-1]) + 1), hits.argmax(axis=1)

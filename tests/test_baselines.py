@@ -15,7 +15,7 @@ from shamans.steering import (
     DoaGrid,
     SteeringVectorSet,
     algebraic_svs,
-    match_freq_bins,
+    match_freq_band,
 )
 
 GOLDEN_CONFIG = Path(__file__).parent / "data" / "golden_config.json"
@@ -143,7 +143,8 @@ def _oracle_max_normalize(values):
 
 def music_loop_oracle(spec, svs, subspace_rank):
     m = spec.num_channels
-    spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
+    band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
+    spec_idx = np.arange(spec.num_freqs)[band]
     acc = np.zeros(len(svs.grid))
     for i_spec, i_sv in zip(spec_idx, sv_idx):
         x = spec.bins[:, i_spec, :]
@@ -158,8 +159,8 @@ def music_loop_oracle(spec, svs, subspace_rank):
 
 
 def srp_einsum_oracle(spec, svs):
-    spec_idx, sv_idx = match_freq_bins(spec.freqs_hz, svs.freqs_hz, exclude_dc=True)
-    x = spec.bins[:, spec_idx, :]
+    band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
+    x = spec.bins[:, np.arange(spec.num_freqs)[band], :]
     mag = np.abs(x)
     white = np.where(mag > 0, x / np.where(mag > 0, mag, 1.0), 0.0)
     a = svs.values[:, :, sv_idx]

@@ -176,6 +176,68 @@ class TestConfig:
         assert f"{path}:" in err and f"{key!r} must be {kind}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, key, kind", [
+        ({"seed": 1.5}, "seed", "an integer"),
+        ({"solver": {"iterations": 80.7}}, "solver.iterations", "an integer"),
+        ({"stft": {"hop": 384.5}}, "stft.hop", "an integer"),
+        ({"array": {"seed": 2.5}}, "array.seed", "an integer or null"),
+        ({"field": {"seed": 0.5}}, "field.seed", "an integer or null"),
+        ({"fit": {"max_degree": 3.2}}, "fit.max_degree", "an integer or null"),
+        ({"scene": {"source_indices": [17.5]}}, "scene.source_indices",
+         "a list of integers"),
+    ])
+    def test_fractional_integer_key_exits_2(self, tmp_path, capsys, doc, key, kind):
+        # before: run with the value truncated (rc 0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["localize", "--config", str(path), "--sv-model", "alg",
+                   "--method", "music-1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and f"{key!r} must be {kind}" in err
+
+    def test_integral_float_accepted_for_integer_key(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 3.0, "stft": {"hop": 384.0},
+                                    "array": {"seed": 4.0}, "fit": {"max_degree": 2.0},
+                                    "scene": {"source_indices": [17.0]}}))
+        config = load_config(str(path))
+        assert cli.build_stft_params(config).hop == 384
+        assert config["seed"] == 3 and config["fit"]["max_degree"] == 2
+
+    @pytest.mark.parametrize("positions", [
+        None, [[0, 0], [0.1, 0]], [[0, 0, "x"], [0.1, 0, 0]], "x", [],
+    ])
+    def test_positions_array_needs_mic_positions(self, tmp_path, capsys, positions):
+        # before: a KeyError or ValueError traceback (rc 1), or a ParameterError
+        # that names no key (rc 4)
+        doc = {"array": {"kind": "positions"}}
+        if positions is not None:
+            doc["array"]["mic_positions_m"] = positions
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["localize", "--config", str(path), "--sv-model", "alg",
+                   "--method", "music-1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and "'array.mic_positions_m' must be" in err
+        assert "Traceback" not in err
+
+    def test_positions_array_localizes(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"array": {
+            "kind": "positions",
+            "mic_positions_m": [[0.05, 0, 0], [0, 0.05, 0], [-0.05, 0, 0.02]]}}))
+        rc = main(["localize", "--config", str(path), "--sv-model", "alg",
+                   "--method", "music-1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+
+    def test_flags_not_given_keep_the_file_values(self, artifact_config, sh_artifact):
+        config = load_config(str(artifact_config), {
+            "seed": None, "sv": {"model": "sh", "path": None}, "fit": {"n_sv": 9}})
+        assert config["seed"] == 7 and config["fit"]["n_sv"] == 9
+        assert config["sv"] == {"model": "sh", "path": str(sh_artifact)}
+
     def test_null_allowed_where_the_default_is_null(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"sv": {"path": None}, "fit": {"max_degree": None},

@@ -21,7 +21,6 @@ from shamans.interp import (
     load_fit_artifact,
     num_sh_coeffs,
     save_fit_artifact,
-    sh_basis,
     sh_expand,
     sh_matrix,
 )
@@ -36,12 +35,11 @@ def random_sphere(n, seed):
 
 class TestShBasis:
     def test_constant_harmonic(self):
-        for d in random_sphere(5, 0):
-            y = sh_basis(d, 3)
+        for y in sh_matrix(random_sphere(5, 0), 3):
             assert abs(y[0] - 1.0 / np.sqrt(4 * np.pi)) < 1e-12
 
     def test_pole_kills_azimuthal_orders(self):
-        y = sh_basis(np.array([0.0, 0.0, 1.0]), 4)
+        y = sh_matrix(np.array([[0.0, 0.0, 1.0]]), 4)[0]
         idx = 0
         for nu in range(5):
             for mu in range(-nu, nu + 1):
@@ -59,8 +57,8 @@ class TestShBasis:
     @given(st.floats(0.0, 2 * np.pi), st.floats(-1.0, 1.0))
     def test_addition_theorem(self, az, z):
         r = np.sqrt(1.0 - z * z)
-        d = np.array([r * np.cos(az), r * np.sin(az), z])
-        y = sh_basis(d, 5)
+        d = np.array([[r * np.cos(az), r * np.sin(az), z]])
+        y = sh_matrix(d, 5)[0]
         idx = 0
         for nu in range(6):
             block = y[idx : idx + 2 * nu + 1]
@@ -162,6 +160,11 @@ class TestInterpSvs:
         model = bandlimited_field(1, 1, 2, seed=14)
         with pytest.raises(ShapeError):
             interp_svs(model, DoaGrid.uniform(6, 1.0), [1.0, 2.0])
+
+    def test_frequency_axis_off_by_micro_hz_raises(self):
+        model = bandlimited_field(1, 1, 2, seed=14)
+        with pytest.raises(ShapeError):
+            interp_svs(model, DoaGrid.uniform(6, 1.0), model.freqs_hz * (1 + 5e-6))
 
     def test_nslite_bias_only_is_mean(self):
         rng = np.random.default_rng(15)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from shamans.errors import SceneSpecError, ShapeError
-from shamans.interp import ShBasisConfig, fibonacci_sphere, fit_sh, sh_matrix
+from shamans.interp import (
+    ShBasisConfig,
+    SparseSvMeasurements,
+    fibonacci_sphere,
+    fit_sh,
+    sh_matrix,
+)
 from shamans.scenes import (
     DiffuseReverb,
     SasSourceKind,
@@ -21,7 +27,13 @@ from shamans.scenes import (
     synthetic_measured_svs,
 )
 from shamans.signal import AudioBuffer, StftParams, write_wav
-from shamans.steering import ArrayGeometry, DoaGrid, algebraic_svs, free_field
+from shamans.steering import (
+    ArrayGeometry,
+    DoaGrid,
+    SteeringVectorSet,
+    algebraic_svs,
+    free_field,
+)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +112,13 @@ class TestSynthScene:
         bad = algebraic_svs(geom, grid, np.array([0.0, 100.0, 200.0]))
         with pytest.raises(ShapeError):
             synth_scene(SceneSpec(source_indices=[7], seed=0), bad, params)
+
+    def test_sv_freq_axis_off_by_micro_hz_raises(self, setup):
+        # at most 0.03 Hz off: the localizers' band matcher has no bin there
+        grid, params, svs = setup
+        scaled = SteeringVectorSet(svs.values, grid, svs.freqs_hz * (1 + 5e-6))
+        with pytest.raises(ShapeError, match="frequency axis"):
+            synth_scene(SceneSpec(source_indices=[7], seed=0), scaled, params)
 
     def test_reverb_surrogate_adds_energy_and_decays(self, setup):
         _grid, params, svs = setup
@@ -233,7 +252,9 @@ class TestSyntheticField:
         geom = ArrayGeometry.random_array(3, 0.05, seed=3)
         freqs = np.array([250.0, 500.0])
         field = synthetic_measured_svs(geom, 1.5, freqs, seed=4, degree=4)
-        meas = field.sample_sphere(80, seed=5)
+        xyz = np.random.default_rng(5).standard_normal((80, 3))
+        xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
+        meas = SparseSvMeasurements(xyz, field.evaluate(xyz), freqs)
         fitted = fit_sh(meas, ShBasisConfig(max_degree=4, ridge_lambda=1e-10))
         grid = DoaGrid.uniform(16, 1.5)
         ref = field.evaluate(grid.directions())

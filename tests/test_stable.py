@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shamans import stable
-from shamans.errors import EstimationError, ParameterError
+from shamans.errors import EstimationError, ParameterError, ShapeError
 from shamans.signal import Spectrogram, StftParams
 from shamans.scenes import SasSourceKind, SceneSpec, synth_scene
 from shamans.stable import (
     AlphaParam,
     LevySketch,
-    NoiseModel,
     SolverConfig,
     build_psi,
     estimate_alpha,
@@ -33,6 +32,7 @@ from shamans.steering import (
     NormalizedSVSet,
     SteeringVectorSet,
     algebraic_svs,
+    match_freq_band,
     normalize_svs,
 )
 
@@ -253,6 +253,14 @@ class TestLevyEstimator:
                           first_bin=1)
         assert np.allclose(levy_estimator(spec, svs, AlphaParam(1.5)),
                            levy_estimator(ref, svs, AlphaParam(1.5)))
+
+    def test_freq_axis_off_by_micro_hz_raises(self):
+        spec = Spectrogram(np.ones((2, 3, 5), dtype=complex), 48000, 768, 384,
+                           first_bin=1)
+        svs = unit_svs(np.ones((4, 2, 3), dtype=complex),
+                       spec.freqs_hz * (1 + 5e-6))
+        with pytest.raises(ShapeError):
+            levy_estimator(spec, svs, AlphaParam(1.5))
 
 
 def seed_levy(spec, svs, alpha):
@@ -488,16 +496,11 @@ def random_sketch(seed, num_dirs=8, num_freqs=16, num_mics=6, alpha=1.5,
 def seed_multiplicative_update(sketch, config):
     """Reference: the solver loop on Psi in the layout it is given."""
     psi, i_hat = sketch.psi, sketch.i_hat
-    beta, lam = config.beta, config.sparsity_lambda
     ups = np.ones(psi.shape[1])
     for _ in range(config.iterations):
         pv = np.maximum(psi @ ups, 1e-12)
-        if beta == 1.0:
-            num = psi.T @ (i_hat / pv)
-            den = psi.sum(axis=0) + lam
-        else:
-            num = psi.T @ (pv ** (beta - 2.0) * i_hat)
-            den = psi.T @ (pv ** (beta - 1.0)) + lam
+        num = psi.T @ (i_hat / pv)
+        den = psi.sum(axis=0) + config.sparsity_lambda
         ups = ups * num / np.maximum(den, 1e-300)
     return ups
 
@@ -559,13 +562,12 @@ class TestMultiplicativeUpdate:
         out = multiplicative_update(sketch, cfg, upsilon0=start).upsilon
         assert np.max(np.abs(out - start)) < 1e-10
 
-    @pytest.mark.parametrize("beta", [1.0, 2.0])
-    def test_layout_and_seed_loop_agree(self, beta):
+    def test_layout_and_seed_loop_agree(self):
         # full-size system (60 directions, 128 bins), where BLAS splits the
         # products across threads differently for each layout
         sketch, _ = random_sketch(11, num_dirs=60, num_freqs=128,
                                   support=((5, 1.0), (20, 2.0), (41, 0.5)), noise=0.1)
-        cfg = SolverConfig(beta=beta, iterations=500)
+        cfg = SolverConfig(iterations=500)
         assert sketch.psi.flags.c_contiguous
         fortran = LevySketch(sketch.i_hat, np.asfortranarray(sketch.psi),
                              sketch.alpha, sketch.num_freqs)
@@ -611,11 +613,10 @@ class TestMultiplicativeUpdate:
             assert cur <= prev + 1e-9 * abs(prev) + slack
             prev = cur
 
-    def test_beta2_euclidean_variant_runs(self):
-        sketch, _ = random_sketch(8)
-        out = multiplicative_update(sketch, SolverConfig(beta=2.0, sparsity_lambda=0.0,
-                                                         iterations=50))
-        assert np.all(np.isfinite(out.upsilon))
+    @pytest.mark.parametrize("beta", [0.0, 2.0])
+    def test_beta_other_than_kl_rejected(self, beta):
+        with pytest.raises(ParameterError, match="beta must be 1"):
+            SolverConfig(beta=beta)
 
 
 def make_scene_setup(seed, n_mics=6, grid_size=60):
@@ -712,10 +713,9 @@ class TestShamansLocalize:
         config = SolverConfig(iterations=50)
         out = shamans_localize(sg, svs, config)
 
-        from shamans.steering import match_freq_bins
-
         alpha = estimate_alpha(sg)
-        spec_idx, sv_idx = match_freq_bins(sg.freqs_hz, svs.freqs_hz)
+        band, sv_idx = match_freq_band(sg.freqs_hz, svs.freqs_hz)
+        spec_idx = np.arange(sg.num_freqs)[band]
         full = normalize_observations(sg, config.p_norm)
         sub = Spectrogram(full.bins[:, spec_idx, :], sg.sample_rate, sg.frame_size,
                           sg.hop, valid_mask=full.valid_mask[spec_idx, :],
@@ -742,10 +742,9 @@ class TestShamansLocalize:
         grid, params, svs = make_scene_setup(seed=14)
         scene = SceneSpec(source_indices=[31], seed=15, snr_db=30.0)
         sg, _ = synth_scene(scene, svs, params)
-        from shamans.steering import match_freq_bins
-
         alpha = estimate_alpha(sg)
-        spec_idx, sv_idx = match_freq_bins(sg.freqs_hz, svs.freqs_hz)
+        band, sv_idx = match_freq_band(sg.freqs_hz, svs.freqs_hz)
+        spec_idx = np.arange(sg.num_freqs)[band]
         tilde = normalize_svs(SteeringVectorSet(svs.values[:, :, sv_idx], svs.grid,
                                                 svs.freqs_hz[sv_idx], svs.source_tag))
 
@@ -763,13 +762,3 @@ class TestShamansLocalize:
         raw = run(sg)
         norm = run(normalize_observations(sg, 1.0))
         assert np.argmax(raw) == np.argmax(norm) == 31
-
-
-class TestNoiseModel:
-    def test_c_alpha_consistency(self):
-        nm = NoiseModel(epsilon=0.5, alpha=1.6)
-        assert abs(nm.c_alpha - (0.25) ** 0.8) < 1e-15
-
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ParameterError):
-            NoiseModel(epsilon=-1.0)

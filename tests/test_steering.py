@@ -20,7 +20,8 @@ from shamans.steering import (
     SteeringVectorSet,
     algebraic_svs,
     load_svset,
-    match_freq_bins,
+    match_freq_band,
+    same_freq_axis,
     normalize_svs,
     save_svset,
 )
@@ -223,15 +224,26 @@ class TestMatchFreqBins:
     def test_dc_excluded(self):
         spec_f = np.array([0.0, 62.5, 125.0])
         sv_f = np.array([0.0, 62.5, 125.0])
-        si, vi = match_freq_bins(spec_f, sv_f)
-        assert si.tolist() == [1, 2]
+        band, vi = match_freq_band(spec_f, sv_f)
+        assert np.arange(3)[band].tolist() == [1, 2]
         assert vi.tolist() == [1, 2]
 
     def test_missing_bin_raises(self):
         with pytest.raises(ShapeError):
-            match_freq_bins(np.array([62.5, 125.0]), np.array([62.5, 100.0]))
+            match_freq_band(np.array([62.5, 125.0]), np.array([62.5, 100.0]))
 
     def test_sv_superset_ok(self):
-        si, vi = match_freq_bins(np.array([62.5]), np.array([0.0, 31.25, 62.5]))
-        assert si.tolist() == [0]
+        band, vi = match_freq_band(np.array([62.5]), np.array([0.0, 31.25, 62.5]))
+        assert np.arange(1)[band].tolist() == [0]
         assert vi.tolist() == [2]
+
+    @pytest.mark.parametrize("scale, same", [(1 + 5e-6, False), (1 + 1e-12, True)])
+    def test_one_tolerance_for_axes_and_bands(self, scale, same):
+        # whole-axis checks and the band matcher share the 1e-6 Hz rule
+        sv_f = np.arange(129) * 62.5
+        assert same_freq_axis(sv_f * scale, sv_f) is same
+        if same:
+            assert match_freq_band(sv_f * scale, sv_f)[1].tolist() == list(range(1, 129))
+        else:
+            with pytest.raises(ShapeError, match="no bin at"):
+                match_freq_band(sv_f * scale, sv_f)

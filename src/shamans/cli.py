@@ -43,7 +43,6 @@ from .interp import (
 )
 from .scenes import (
     derive_seed,
-    load_scene,
     save_scene,
     scene_batch,
     synth_scene,
@@ -65,22 +64,103 @@ EXIT_IO = 2
 EXIT_NUMERICAL = 3
 EXIT_INCOMPATIBLE = 4
 
-DEFAULT_CONFIG = {
-    "seed": 0,
-    "sample_rate": 48000,
-    "stft": {"frame_size": 768, "hop": 384, "f_max_hz": 8000.0},
-    "grid": {"count": 60, "radius_m": 1.7, "elevation_deg": 0.0},
-    "array": {"kind": "random", "num_mics": 6, "aperture_m": 0.18},
-    "sv": {"model": "ref", "path": None},
-    "method": "shamans",
-    "solver": {"beta": 1.0, "sparsity_lambda": 1e-3, "iterations": 500, "p_norm": 1.0},
-    "peaks": {"threshold": 0.3, "min_sep_cells": 2, "max_peaks": 10},
-    "field": {"degree": 8, "perturb_strength": 0.15},
-    "scene": {"source_indices": [17], "snr_db": 20.0, "duration_s": 1.0,
-              "source_kind": {"kind": "sas", "alpha": 1.5, "scale": 1.0}},
-    "fit": {"method": "sh", "n_sv": 32, "max_degree": None, "ridge_lambda": 1e-6,
-            "num_features": 128, "feature_scale": 2.0},
+# Every config key once, as (default, kind). A kind is "int", "float",
+# "str", "ints" or "strs" (a list of them), "positions" (an [M, 3] list of
+# numbers) or a tuple of the values the key takes; one ending in "?" also
+# takes null, which means no noise (snr_db), no reverb (t60_s), a seed
+# derived from the master seed (array.seed, field.seed), or the default.
+CONFIG_KEYS = {
+    "seed": (0, "int"), "sample_rate": (48000, "int"),
+    "stft": {"frame_size": (768, "int"), "hop": (384, "int"), "f_max_hz": (8000.0, "float")},
+    "grid": {"count": (60, "int"), "radius_m": (1.7, "float"), "elevation_deg": (0.0, "float")},
+    "array": {"kind": ("random", ("random", "positions")), "num_mics": (6, "int"),
+              "aperture_m": (0.18, "float"), "seed": (None, "int?"),
+              "mic_positions_m": (None, "positions?")},
+    "sv": {"model": ("ref", "str"), "path": (None, "str?")}, "method": ("shamans", "str"),
+    "solver": {"beta": (1.0, (1,)), "sparsity_lambda": (1e-3, "float"),
+               "iterations": (500, "int"), "p_norm": (1.0, "float")},
+    "peaks": {"threshold": (0.3, "float"), "min_sep_cells": (2, "int"), "max_peaks": (10, "int")},
+    "field": {"degree": (8, "int"), "perturb_strength": (0.15, "float"), "seed": (None, "int?")},
+    "scene": {"source_indices": ([17], "ints"), "snr_db": (20.0, "float?"),
+              "duration_s": (1.0, "float"), "t60_s": (None, "float?"),
+              "min_sep_cells": (2, "int"),
+              "source_kind": {"kind": ("sas", ("sas", "wav")), "alpha": (1.5, "float"),
+                              "scale": (1.0, "float"), "paths": (None, "strs?")}},
+    "fit": {"method": ("sh", ("sh", "nslite")), "n_sv": (32, "int"),
+            "max_degree": (None, "int?"), "ridge_lambda": (1e-6, "float"),
+            "num_features": (128, "int"), "feature_scale": (2.0, "float")},
 }
+# a scene file: the config's scene section plus the scene's own seed
+SCENE_KEYS = {**CONFIG_KEYS["scene"], "seed": (0, "int")}
+
+
+def _defaults(keys: dict) -> dict:
+    return {key: _defaults(spec) if isinstance(spec, dict) else copy.deepcopy(spec[0])
+            for key, spec in keys.items()}
+
+
+DEFAULT_CONFIG = _defaults(CONFIG_KEYS)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_whole(val) -> bool:
+    return _is_number(val) and float(val).is_integer()
+
+
+def _is_positions(val) -> bool:
+    """Whether ``val`` is a nonempty [M, 3] list of finite numbers."""
+    return (isinstance(val, list) and len(val) > 0
+            and all(isinstance(row, list) and len(row) == 3
+                    and all(_is_number(v) and math.isfinite(v) for v in row)
+                    for row in val))
+
+
+def _list_of(test):
+    return lambda val: isinstance(val, list) and all(map(test, val))
+
+
+# each leaf kind's test, and what a value failing it must be
+_KINDS = {"float": (_is_number, "a number"), "int": (_is_whole, "an integer"),
+          "str": (lambda val: isinstance(val, str), "a string"),
+          "floats": (_list_of(_is_number), "a list of numbers"),
+          "ints": (_list_of(_is_whole), "a list of integers"),
+          "strs": (_list_of(lambda val: isinstance(val, str)), "a list of strings"),
+          "positions": (_is_positions, "an [M, 3] list of numbers")}
+
+
+def _mismatch(val, kind) -> str | None:
+    """What ``val`` must be when it is not of ``kind``, else None. An
+    integer kind tests its number kind first: "x" must be "a number" and
+    1.5 "an integer". A dict kind is a section."""
+    if isinstance(kind, dict):
+        return None if isinstance(val, dict) else "an object"
+    if isinstance(kind, tuple):
+        if val in kind and not isinstance(val, bool):
+            return None
+        return ("one of " if len(kind) > 1 else "") + ", ".join(map(json.dumps, kind))
+    base, nullable = kind.rstrip("?"), kind.endswith("?")
+    for name in ({"int": "float", "ints": "floats"}.get(base), base):
+        if name and not (val is None and nullable) and not _KINDS[name][0](val):
+            return _KINDS[name][1] + (" or null" if nullable else "")
+    return None
+
+
+def _check(doc: dict, keys: dict, source: str, prefix: str = "") -> None:
+    """Reject a key that ``keys`` does not declare, and a value that is not
+    of its key's kind."""
+    for key, val in doc.items():
+        name, spec = prefix + key, keys.get(key)
+        if spec is None:
+            raise FormatError(f"{source}: unknown key {name!r}")
+        problem = _mismatch(val, spec if isinstance(spec, dict) else spec[1])
+        if problem:
+            raise FormatError(f"{source}: key {name!r} must be {problem}, "
+                              f"got {json.dumps(val)}")
+        if isinstance(spec, dict):
+            _check(val, spec, source, name + ".")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -93,107 +173,49 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-# numeric keys that also take null, with the type of their other values:
-# no additive noise for scene.snr_db, a seed derived from the master seed
-# for array.seed and field.seed, the default degree for fit.max_degree
-_NULLABLE_NUMBERS = {"scene.snr_db": float, "array.seed": int, "field.seed": int,
-                     "fit.max_degree": int}
-# string keys with a closed set of values
-_CHOICES = {"array.kind": ("random", "positions"),
-            "scene.source_kind.kind": ("sas", "wav")}
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
-
-
-def _is_integer(val) -> bool:
-    return _is_number(val) and (isinstance(val, int) or val.is_integer())
-
-
-def _number_kind(val, kind: type) -> str | None:
-    """What ``val`` must be when it is not a number of ``kind`` (int or
-    float; an integral float counts as an int), else None."""
-    if not _is_number(val):
-        return "a number"
-    if kind is int and not _is_integer(val):
-        return "an integer"
-    return None
-
-
-def _check_types(doc: dict, defaults: dict, source: str, prefix: str = "") -> None:
-    """Reject a value whose JSON type contradicts its default: a non-object
-    where the default is an object, a non-number (or a non-integer) where
-    it is a number (an integer), and anything but a list of such numbers
-    where it is a list. The keys in ``_NULLABLE_NUMBERS`` take a number of
-    their type or null, the keys in ``_CHOICES`` one of their strings;
-    other keys without a default, or whose default is null, take any
-    value."""
-    for key, val in doc.items():
-        default = defaults.get(key)
-        name = prefix + key
-        problem = None
-        if isinstance(default, dict):
-            if not isinstance(val, dict):
-                problem = "an object"
-            else:
-                _check_types(val, default, source, name + ".")
-        elif name in _CHOICES:
-            if val not in _CHOICES[name]:
-                problem = "one of " + ", ".join(json.dumps(c) for c in _CHOICES[name])
-        elif name in _NULLABLE_NUMBERS:
-            kind = None if val is None else _number_kind(val, _NULLABLE_NUMBERS[name])
-            if kind:
-                problem = f"{kind} or null"
-        elif isinstance(default, list):
-            if not isinstance(val, list) or not all(map(_is_number, val)):
-                problem = "a list of numbers"
-            elif not all(map(_is_integer, val)) and all(map(_is_integer, default)):
-                problem = "a list of integers"
-        elif _is_number(default):
-            problem = _number_kind(val, type(default))
-        if problem:
-            raise FormatError(f"{source}: config key {name!r} must be {problem}, "
-                              f"got {json.dumps(val)}")
-
-
-def _is_positions(val) -> bool:
-    """Whether ``val`` is a nonempty [M, 3] list of finite numbers."""
-    return (isinstance(val, list) and len(val) > 0
-            and all(isinstance(row, list) and len(row) == 3
-                    and all(_is_number(v) and math.isfinite(v) for v in row)
-                    for row in val))
-
-
 def _given(overrides: dict) -> dict:
     """The overrides without the keys set to None (flags not given)."""
     return {key: _given(val) if isinstance(val, dict) else val
             for key, val in overrides.items() if val is not None}
 
 
-def load_config(path: str | None, overrides: dict | None = None) -> dict:
-    """The defaults merged with a JSON file and then with overrides, as a
-    fresh copy that the caller may mutate without touching
-    ``DEFAULT_CONFIG``. An override of None leaves the value as it was."""
-    config = copy.deepcopy(DEFAULT_CONFIG)
+def _load(path: str | None, keys: dict, overrides: dict | None = None) -> dict:
+    """The defaults of ``keys`` merged with the JSON object in ``path`` and
+    then with ``overrides``, as a fresh copy. An override of None leaves the
+    value as it was."""
+    doc = _defaults(keys)
     if path is not None:
         try:
-            doc = json.loads(Path(path).read_text())
+            given = json.loads(Path(path).read_text())
         except ValueError as exc:  # not UTF-8, or not JSON
-            raise FormatError(f"{path}: not a JSON config: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise FormatError(f"{path}: a config must be a JSON object, "
-                              f"not {type(doc).__name__}")
-        _check_types(doc, DEFAULT_CONFIG, path)
-        config = _deep_merge(config, doc)
+            raise FormatError(f"{path}: not JSON: {exc}") from exc
+        if not isinstance(given, dict):
+            raise FormatError(f"{path}: must be a JSON object, not {type(given).__name__}")
+        _check(given, keys, path)
+        doc = _deep_merge(doc, given)
     if overrides:
-        config = _deep_merge(config, _given(overrides))
-    positions = config["array"].get("mic_positions_m")
-    if config["array"]["kind"] == "positions" and not _is_positions(positions):
-        raise FormatError(f"{path or 'overrides'}: config key 'array.mic_positions_m' "
-                          "must be an [M, 3] list of numbers when array.kind is "
-                          f"\"positions\", got {json.dumps(positions)}")
-    return config
+        doc = _deep_merge(doc, _given(overrides))
+    # the keys that one value of another key makes necessary
+    prefix = "scene." if "scene" in doc else ""
+    for section, name, kind, needed in (
+            (doc.get("array"), "array.", "positions", "mic_positions_m"),
+            (doc.get("scene", doc)["source_kind"], prefix + "source_kind.", "wav", "paths")):
+        if section is not None and section["kind"] == kind and section[needed] is None:
+            raise FormatError(f"{path or 'overrides'}: key '{name}{needed}' must be "
+                              f"given when {name}kind is \"{kind}\"")
+    return doc
+
+
+def load_config(path: str | None, overrides: dict | None = None) -> dict:
+    """The default config merged with a JSON config file and then with
+    flag overrides; the caller may mutate it."""
+    return _load(path, CONFIG_KEYS, overrides)
+
+
+def load_scene(path) -> scenes.SceneSpec:
+    """A scene file, checked and completed with defaults like a config's
+    scene section."""
+    return scenes.scene_from_dict(_load(path, SCENE_KEYS))
 
 
 def build_stft_params(config: dict) -> StftParams:
@@ -213,9 +235,7 @@ def build_array(config: dict) -> ArrayGeometry:
     a = config["array"]
     if a["kind"] == "positions":
         return ArrayGeometry(np.asarray(a["mic_positions_m"], dtype=float))
-    seed = a.get("seed")
-    if seed is None:
-        seed = derive_seed(config["seed"], "array")
+    seed = derive_seed(config["seed"], "array") if a["seed"] is None else a["seed"]
     return ArrayGeometry.random_array(num_mics=int(a["num_mics"]),
                                       aperture_m=float(a["aperture_m"]),
                                       seed=int(seed))
@@ -224,9 +244,7 @@ def build_array(config: dict) -> ArrayGeometry:
 def build_field(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
                 params: StftParams) -> scenes.SyntheticSvField:
     f = config["field"]
-    seed = f.get("seed")
-    if seed is None:
-        seed = derive_seed(config["seed"], "field")
+    seed = derive_seed(config["seed"], "field") if f["seed"] is None else f["seed"]
     return synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
                                   seed=int(seed), degree=int(f["degree"]),
                                   perturb_strength=float(f["perturb_strength"]))
@@ -305,22 +323,17 @@ def cmd_fit(args) -> int:
             degree = ShBasisConfig.default_degree(n_sv)
         model = fit_sh(samples, ShBasisConfig(max_degree=int(degree),
                                               ridge_lambda=float(fit_cfg["ridge_lambda"])))
-    elif fit_cfg["method"] == "nslite":
+    else:
         model = fit_coordnet(samples, CoordNetConfig(
             num_features=int(fit_cfg["num_features"]),
             feature_scale=float(fit_cfg["feature_scale"]),
             ridge_lambda=float(fit_cfg["ridge_lambda"]),
             seed=derive_seed(config["seed"], "nslite")))
-    else:
-        raise ParameterError(f"unknown fit method {fit_cfg['method']!r}")
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_fit_artifact(model, out)
-    meta = json.loads(out.with_suffix(".json").read_text())
-    meta.update({"n_sv": n_sv, "fit_method": fit_cfg["method"],
-                 "master_seed": config["seed"]})
-    out.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=1))
+    save_fit_artifact(model, out, {"n_sv": n_sv, "fit_method": fit_cfg["method"],
+                                   "master_seed": config["seed"]})
     print(f"wrote {out} ({fit_cfg['method']}, {n_sv} measurements)")
     return EXIT_OK
 
@@ -341,8 +354,7 @@ def cmd_simulate(args) -> int:
         save_svset(algebraic_svs(geometry, grid, params.freqs_hz), out / "alg.svst")
         print(f"wrote {out / 'alg.svst'}")
 
-    base = scenes.scene_from_dict(config["scene"])
-    base.seed = config["seed"]
+    base = scenes.scene_from_dict({**config["scene"], "seed": config["seed"]})
     batch = scene_batch(base, {}, args.count, len(grid))
     for i, spec in enumerate(batch):
         save_scene(spec, out / f"scene_{i:04d}.json")
@@ -382,9 +394,8 @@ def cmd_localize(args) -> int:
         spectrogram = stft(audio, params.frame_size, params.hop, params.f_max_hz)
         svs = resolve_svs(config, grid, params, geometry)
     else:
-        scene = load_scene(args.scene) if args.scene else scenes.scene_from_dict(config["scene"])
-        if args.scene is None:
-            scene.seed = config["seed"]
+        scene = load_scene(args.scene) if args.scene else scenes.scene_from_dict(
+            {**config["scene"], "seed": config["seed"]})
         ref = build_field(config, geometry, grid, params).on_grid(grid)
         spectrogram, truth = synth_scene(scene, ref, params)
         svs = ref if config["sv"]["model"] == "ref" and config["sv"]["path"] is None \
@@ -421,8 +432,7 @@ def cmd_sweep(args) -> int:
     sv_models = args.sv_models.split(",")
     grid = build_grid(config)
 
-    base = scenes.scene_from_dict(config["scene"])
-    base.seed = config["seed"]
+    base = scenes.scene_from_dict({**config["scene"], "seed": config["seed"]})
     axis = args.axis
     values = [float(v) for v in args.values.split(",")] if args.values else [None]
     sweep = {} if axis is None else {axis: values}

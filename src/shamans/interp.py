@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, SingularSystemError
+from .errors import FormatError, ParameterError, ShapeError, SingularSystemError
 from .steering import (
     DoaGrid,
     SteeringVectorSet,
@@ -324,7 +324,8 @@ def interp_error_report(truth: SteeringVectorSet,
 # the fit metadata
 
 
-def save_fit_artifact(model, path) -> None:
+def save_fit_artifact(model, path, extra: dict | None = None) -> None:
+    """Write a fitted model, and its JSON sidecar with the ``extra`` fields."""
     path = Path(path)
     if isinstance(model, ShCoefficients):
         write_svset_raw(path, model.coeffs, np.arange(model.coeffs.shape[0]),
@@ -342,25 +343,35 @@ def save_fit_artifact(model, path) -> None:
                 "freqs_hz": [float(v) for v in model.freqs_hz]}
     else:
         raise ParameterError(f"cannot serialize model of type {type(model).__name__}")
-    path.with_suffix(".json").write_text(json.dumps(meta, sort_keys=True, indent=1))
+    path.with_suffix(".json").write_text(json.dumps({**meta, **(extra or {})},
+                                                    sort_keys=True, indent=1))
 
 
 def load_fit_artifact(path):
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
+    """Read a fit artifact; a sidecar that is not JSON, lacks a field or
+    disagrees with the container's coefficient rows is a FormatError."""
+    path, sidecar = Path(path), Path(path).with_suffix(".json")
     values, _axis0, freqs, _radius, _elev, _tag = read_svset_raw(path)
     values = values.astype(np.complex128)
-    if meta["kind"] == "sh":
-        return ShCoefficients(coeffs=values, freqs_hz=freqs,
-                              max_degree=int(meta["max_degree"]),
-                              ridge_lambda=float(meta["ridge_lambda"]))
-    if meta["kind"] == "nslite":
-        config = CoordNetConfig(num_features=int(meta["num_features"]),
-                                feature_scale=float(meta["feature_scale"]),
-                                ridge_lambda=float(meta["ridge_lambda"]),
-                                seed=int(meta["seed"]))
-        return CoordNetModel(weights=values[:, :, 0],
-                             omegas=coordnet_features(config),
-                             freqs_hz=np.asarray(meta["freqs_hz"], dtype=np.float64),
-                             freq_scale=float(meta["freq_scale"]), config=config)
-    raise ParameterError(f"unknown artifact kind {meta['kind']!r}")
+    try:  # not UTF-8 or not JSON is a ValueError
+        meta = json.loads(sidecar.read_text())
+        if meta["kind"] == "sh":
+            model = ShCoefficients(values, freqs, int(meta["max_degree"]),
+                                   float(meta["ridge_lambda"]))
+            rows = num_sh_coeffs(model.max_degree)
+        elif meta["kind"] == "nslite":
+            config = CoordNetConfig(int(meta["num_features"]), float(meta["feature_scale"]),
+                                    float(meta["ridge_lambda"]), int(meta["seed"]))
+            model = CoordNetModel(values[:, :, 0], coordnet_features(config),
+                                  np.asarray(meta["freqs_hz"], dtype=np.float64),
+                                  float(meta["freq_scale"]), config)
+            rows = 1 + 2 * config.num_features
+        else:
+            raise FormatError(f"{sidecar}: unknown artifact kind {meta['kind']!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{sidecar}: not a fit-artifact sidecar "
+                          f"({type(exc).__name__}: {exc})") from exc
+    if values.shape[0] != rows:
+        raise FormatError(f"{sidecar}: the fit has {rows} coefficient rows, "
+                          f"{path} holds {values.shape[0]}")
+    return model

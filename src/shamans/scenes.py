@@ -13,6 +13,7 @@ measured SV sets when exercising interpolators end to end.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -48,20 +49,15 @@ class WavSourceKind:
 
 
 @dataclass
-class DiffuseReverb:
-    """Isotropic late-field surrogate with a 60 dB energy decay at t60."""
-
-    t60_s: float
-
-
-@dataclass
 class SceneSpec:
     """Ground-truth description of one synthetic scene."""
 
     source_indices: list
     source_kind: SasSourceKind | WavSourceKind = field(default_factory=SasSourceKind)
     snr_db: float | None = 20.0  # None disables the additive noise
-    reverb: DiffuseReverb | None = None
+    # the isotropic late-field surrogate's 60 dB energy decay time; 0 or
+    # None disables it
+    t60_s: float | None = None
     seed: int = 0
     duration_s: float = 1.0
     min_sep_cells: int = 2
@@ -74,6 +70,10 @@ class SceneSpec:
             raise SceneSpecError("duration must be positive")
         if self.snr_db is not None and not np.isfinite(self.snr_db):
             raise SceneSpecError("snr_db must be finite (None disables noise)")
+        if self.t60_s is not None and not self.t60_s >= 0:
+            raise SceneSpecError(f"t60_s must be nonnegative (0 or None disables the "
+                                 f"reverb), got {self.t60_s}")
+        self.t60_s = float(self.t60_s) if self.t60_s else None
 
     @property
     def num_sources(self) -> int:
@@ -89,13 +89,10 @@ class SceneTruth:
     realized_snr_db: float | None
 
 
-def _check_separation(indices, num_cells: int, min_sep: int) -> None:
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            if circular_cell_distance(indices[a], indices[b], num_cells) < min_sep:
-                raise SceneSpecError(
-                    f"sources {indices[a]} and {indices[b]} closer than "
-                    f"{min_sep} grid cells")
+def _close_pair(indices, num_cells: int, min_sep: int) -> tuple | None:
+    """The first two indices less than ``min_sep`` grid cells apart, or None."""
+    return next(((a, b) for i, a in enumerate(indices) for b in indices[i + 1:]
+                 if circular_cell_distance(a, b, num_cells) < min_sep), None)
 
 
 def substream(seed: int, stream: int, key: int = 0) -> np.random.Generator:
@@ -148,7 +145,10 @@ def synth_scene(spec: SceneSpec, svs: SteeringVectorSet,
     num_cells = len(svs.grid)
     if any(i < 0 or i >= num_cells for i in spec.source_indices):
         raise SceneSpecError("a source index lies outside the SV grid")
-    _check_separation(spec.source_indices, num_cells, spec.min_sep_cells)
+    pair = _close_pair(spec.source_indices, num_cells, spec.min_sep_cells)
+    if pair:
+        raise SceneSpecError(f"sources {pair[0]} and {pair[1]} closer than "
+                             f"{spec.min_sep_cells} grid cells")
 
     num_samples = int(round(spec.duration_s * params.sample_rate))
     if num_samples < params.frame_size:
@@ -178,12 +178,12 @@ def synth_scene(spec: SceneSpec, svs: SteeringVectorSet,
 
     direct_energy = float(np.sum(np.abs(mix) ** 2))
 
-    if spec.reverb is not None and spec.num_sources > 0:
+    if spec.t60_s is not None and spec.num_sources > 0:
         rng = substream(spec.seed, _STREAM_REVERB)
         w = (rng.standard_normal((num_cells, f, t))
              + 1j * rng.standard_normal((num_cells, f, t))) / np.sqrt(2.0)
         frame_t = np.arange(t) * (params.hop / params.sample_rate)
-        gain = 10.0 ** (-3.0 * frame_t / spec.reverb.t60_s)  # amplitude decay
+        gain = 10.0 ** (-3.0 * frame_t / spec.t60_s)  # amplitude decay
         late = np.einsum("lmf,lft->mft", svs.values, w)
         unit_frame_energy = float(np.sum(np.abs(svs.values) ** 2))
         rho = np.sqrt((direct_energy / t) / unit_frame_energy)
@@ -219,9 +219,7 @@ def place_sources(rng: np.random.Generator, num_cells: int, n_sources: int,
         return []
     for _ in range(max_tries):
         cand = sorted(rng.choice(num_cells, size=n_sources, replace=False).tolist())
-        ok = all(circular_cell_distance(cand[a], cand[b], num_cells) >= min_sep_cells
-                 for a in range(n_sources) for b in range(a + 1, n_sources))
-        if ok:
+        if _close_pair(cand, num_cells, min_sep_cells) is None:
             return cand
     raise SceneSpecError("could not place sources with the requested separation")
 
@@ -255,13 +253,11 @@ def scene_batch(base: SceneSpec, sweep: dict, count: int,
             if "source_alpha" in overrides and isinstance(kind, SasSourceKind):
                 kind = SasSourceKind(alpha=float(overrides["source_alpha"]),
                                      scale=kind.scale)
-            t60 = overrides.get("t60_s", base.reverb.t60_s if base.reverb else 0.0)
-            reverb = DiffuseReverb(float(t60)) if t60 else None
             specs.append(SceneSpec(
                 source_indices=indices,
                 source_kind=kind,
                 snr_db=overrides.get("snr_db", base.snr_db),
-                reverb=reverb,
+                t60_s=overrides.get("t60_s", base.t60_s),
                 seed=seed,
                 duration_s=base.duration_s,
                 min_sep_cells=base.min_sep_cells,
@@ -274,47 +270,29 @@ def scene_batch(base: SceneSpec, sweep: dict, count: int,
 
 
 def scene_to_dict(spec: SceneSpec) -> dict:
-    kind = spec.source_kind
-    if isinstance(kind, SasSourceKind):
-        kind_doc = {"kind": "sas", "alpha": kind.alpha, "scale": kind.scale}
-    else:
-        kind_doc = {"kind": "wav", "paths": list(kind.paths)}
-    return {
-        "source_indices": list(spec.source_indices),
-        "source_kind": kind_doc,
-        "snr_db": spec.snr_db,
-        "t60_s": spec.reverb.t60_s if spec.reverb else None,
-        "seed": spec.seed,
-        "duration_s": spec.duration_s,
-        "min_sep_cells": spec.min_sep_cells,
-    }
+    doc = dataclasses.asdict(spec)
+    doc["source_kind"]["kind"] = "sas" if isinstance(spec.source_kind, SasSourceKind) else "wav"
+    return doc
 
 
 def scene_from_dict(doc: dict) -> SceneSpec:
-    kind_doc = doc.get("source_kind", {"kind": "sas"})
-    if kind_doc.get("kind") == "wav":
+    """The scene a complete scene document describes (a checked scene file,
+    or a config's scene section, whose seed defaults to 0)."""
+    kind_doc = doc["source_kind"]
+    if kind_doc["kind"] == "wav":
         kind = WavSourceKind(paths=list(kind_doc["paths"]))
+    elif kind_doc["kind"] == "sas":
+        kind = SasSourceKind(alpha=float(kind_doc["alpha"]), scale=float(kind_doc["scale"]))
     else:
-        kind = SasSourceKind(alpha=float(kind_doc.get("alpha", 1.5)),
-                             scale=float(kind_doc.get("scale", 1.0)))
-    t60 = doc.get("t60_s")
-    return SceneSpec(
-        source_indices=doc["source_indices"],
-        source_kind=kind,
-        snr_db=doc.get("snr_db"),
-        reverb=DiffuseReverb(float(t60)) if t60 else None,
-        seed=int(doc.get("seed", 0)),
-        duration_s=float(doc.get("duration_s", 1.0)),
-        min_sep_cells=int(doc.get("min_sep_cells", 2)),
-    )
+        raise SceneSpecError(f"unknown source kind {kind_doc['kind']!r}")
+    return SceneSpec(source_indices=doc["source_indices"], source_kind=kind,
+                     snr_db=doc["snr_db"], t60_s=doc["t60_s"], seed=int(doc.get("seed", 0)),
+                     duration_s=float(doc["duration_s"]),
+                     min_sep_cells=int(doc["min_sep_cells"]))
 
 
 def save_scene(spec: SceneSpec, path) -> None:
     Path(path).write_text(json.dumps(scene_to_dict(spec), sort_keys=True, indent=1))
-
-
-def load_scene(path) -> SceneSpec:
-    return scene_from_dict(json.loads(Path(path).read_text()))
 
 
 # ---------------------------------------------------------------------------

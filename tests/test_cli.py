@@ -260,6 +260,92 @@ class TestConfig:
             assert json.loads(scene_path.read_text())["snr_db"] is None
 
 
+    def test_scene_file_takes_the_config_defaults(self, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"source_indices": [3], "seed": 8}))
+        spec = cli.load_scene(str(path))
+        assert spec.snr_db == 20.0 and spec.t60_s is None and spec.min_sep_cells == 2
+        assert spec.seed == 8 and spec.source_kind.alpha == 1.5
+
+    @pytest.mark.parametrize("flag, doc, key, rc", [
+        ("--scene", {"t60_s": "x"}, "t60_s", 2),
+        ("--scene", {"source_indices": "ab"}, "source_indices", 2),
+        ("--scene", [17], None, 2),
+        ("--scene", {"source_indices": [3], "source_kind": {"kind": "wav"}},
+         "source_kind.paths", 2),
+        ("--scene", {"source_indices": [3], "min_sep_cells": 1.5}, "min_sep_cells", 2),
+        ("--scene", {"source_indices": [3], "source_kind": {"kind": "sass"}},
+         "source_kind.kind", 2),
+        ("--scene", {"source_indices": [3], "t60_s": -0.3}, "t60_s", 4),
+        ("--config", {"scene": {"t60_s": "x"}}, "scene.t60_s", 2),
+        ("--config", {"scene": {"seed": 99}}, "scene.seed", 2),
+        ("--config", {"method": 5}, "method", 2),
+        ("--config", {"sv": {"path": 5}}, "sv.path", 2),
+        ("--config", {"scene": {"source_kind": {"kind": "wav", "paths": "a.wav"}}},
+         "scene.source_kind.paths", 2),
+        ("--config", {"solver": {"iteration": 80}}, "solver.iteration", 2),
+        ("--config", {"solver": {"beta": 2.0}}, "solver.beta", 2),
+        ("--config", {"scene": {"t60_s": -0.3}}, "t60_s", 4),
+    ])
+    def test_rejected_scene_or_config_names_the_key(self, tmp_path, capsys, flag, doc,
+                                                    key, rc):
+        # before: tracebacks (rc 1), a truncated min_sep_cells, SaS sources for
+        # "sass", and a growing "reverb" for a negative t60_s (rc 0); an
+        # ignored scene.seed, misspelt key or solver.beta for music-1 (rc 0)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["localize", flag, str(path), "--sv-model", "alg",
+                     "--method", "music-1", "--out", str(tmp_path / "o")]) == rc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if rc == 2:
+            assert f"{path}:" in err
+        assert key is None or f"'{key}'" in err or f"{key} must be" in err
+
+    def test_negative_t60_sweep_exits_4(self, small_config, tmp_path):
+        # before: an ok row scored on an exponentially growing "reverb"
+        assert main(["sweep", "--config", str(small_config), "--axis", "t60_s",
+                     "--values=-0.3", "--count", "1", "--methods", "music-1",
+                     "--out", str(tmp_path / "o")]) == 4
+
+
+class TestFitArtifact:
+    @pytest.fixture
+    def artifacts(self, small_config, measured_svset, sh_artifact, tmp_path):
+        ns = tmp_path / "src" / "ns.svst"
+        assert main(["fit", "--config", str(small_config), "--measurements",
+                     str(measured_svset), "--n-sv", "12", "--method", "nslite",
+                     "--out", str(ns)]) == 0
+        return {"sh": sh_artifact, "nslite": ns}
+
+    @pytest.mark.parametrize("kind, edit", [
+        ("sh", lambda text: "{not json"),
+        ("sh", lambda text: text.replace('"max_degree"', '"degree"')),
+        ("sh", lambda text: text.replace('"max_degree": 3', '"max_degree": 2')),
+        ("nslite", lambda text: text.replace('"num_features": 128', '"num_features": 64')),
+        ("nslite", lambda text: text.replace('"freq_scale"', '"scale"')),
+    ])
+    def test_broken_sidecar_exits_2(self, small_config, artifacts, tmp_path, capsys,
+                                    kind, edit):
+        # before: a JSONDecodeError, KeyError or matmul ValueError traceback (rc 1)
+        src = artifacts[kind]
+        model = tmp_path / "model.svst"
+        model.write_bytes(src.read_bytes())
+        sidecar = model.with_suffix(".json")
+        text = src.with_suffix(".json").read_text()
+        assert edit(text) != text
+        sidecar.write_text(edit(text))
+        assert main(["localize", "--config", str(small_config), "--method", "music-1",
+                     "--sv-model", kind, "--sv-path", str(model),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{sidecar}:" in err and "Traceback" not in err
+
+    def test_sidecar_records_the_fit_run(self, artifacts):
+        meta = json.loads(artifacts["nslite"].with_suffix(".json").read_text())
+        assert (meta["n_sv"], meta["fit_method"], meta["master_seed"]) == (12, "nslite", 7)
+
+
 class TestLocalize:
     def test_golden_scene_zero_error(self, tmp_path):
         out = tmp_path / "run"
@@ -515,6 +601,13 @@ def readme_commands():
             if line.strip().startswith("shamans "):
                 commands.append(line.strip())
     return commands
+
+
+def test_readme_config_block_is_the_defaults():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"Config keys \(all optional, shown with defaults\):\n\n```json\n"
+                      r"(.*?)```", text, flags=re.S)
+    assert block and json.loads(block.group(1)) == DEFAULT_CONFIG
 
 
 def test_readme_commands_parse():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from shamans.cli import load_scene
 from shamans.errors import SceneSpecError, ShapeError
 from shamans.interp import (
     ShBasisConfig,
@@ -12,12 +13,10 @@ from shamans.interp import (
     sh_matrix,
 )
 from shamans.scenes import (
-    DiffuseReverb,
     SasSourceKind,
     SceneSpec,
     WavSourceKind,
     derive_seed,
-    load_scene,
     place_sources,
     save_scene,
     scene_batch,
@@ -124,7 +123,7 @@ class TestSynthScene:
         _grid, params, svs = setup
         dry = SceneSpec(source_indices=[7], snr_db=None, seed=5, duration_s=0.5)
         wet = SceneSpec(source_indices=[7], snr_db=None, seed=5, duration_s=0.5,
-                        reverb=DiffuseReverb(t60_s=0.3))
+                        t60_s=0.3)
         sd, _ = synth_scene(dry, svs, params)
         sw, _ = synth_scene(wet, svs, params)
         tail = sw.bins - sd.bins
@@ -202,7 +201,7 @@ class TestSceneBatch:
 class TestSceneJson:
     def test_roundtrip(self, tmp_path):
         spec = SceneSpec(source_indices=[4, 13], snr_db=-3.0, seed=21,
-                         duration_s=0.7, reverb=DiffuseReverb(0.25),
+                         duration_s=0.7, t60_s=0.25,
                          source_kind=SasSourceKind(alpha=1.2, scale=0.4))
         path = tmp_path / "scene.json"
         save_scene(spec, path)

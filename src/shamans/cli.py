@@ -103,7 +103,10 @@ DEFAULT_CONFIG = _defaults(CONFIG_KEYS)
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """Whether ``val`` is a finite JSON number (an int is always finite;
+    ``math.isfinite`` cannot take one too large for a float)."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and (isinstance(val, int) or math.isfinite(val)))
 
 
 def _is_whole(val) -> bool:
@@ -114,7 +117,7 @@ def _is_positions(val) -> bool:
     """Whether ``val`` is a nonempty [M, 3] list of finite numbers."""
     return (isinstance(val, list) and len(val) > 0
             and all(isinstance(row, list) and len(row) == 3
-                    and all(_is_number(v) and math.isfinite(v) for v in row)
+                    and all(map(_is_number, row))
                     for row in val))
 
 
@@ -194,7 +197,9 @@ def _load(path: str | None, keys: dict, overrides: dict | None = None) -> dict:
         _check(given, keys, path)
         doc = _deep_merge(doc, given)
     if overrides:
-        doc = _deep_merge(doc, _given(overrides))
+        given = _given(overrides)
+        _check(given, keys, "command line")  # a float flag takes "nan" and "inf"
+        doc = _deep_merge(doc, given)
     # the keys that one value of another key makes necessary
     prefix = "scene." if "scene" in doc else ""
     for section, name, kind, needed in (
@@ -426,6 +431,22 @@ def _fault_status(prefix: str, exc: Exception) -> str:
     return f"{prefix}: {type(exc).__name__}: {exc}"
 
 
+def _sweep_value(axis: str | None, text: str) -> float:
+    """One ``--values`` entry: a finite number, and for n_sources a
+    nonnegative whole one."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if axis == "n_sources":
+        need, ok = "a nonnegative whole number", val >= 0 and val.is_integer()
+    else:
+        need, ok = "a finite number", math.isfinite(val)
+    if not ok:
+        raise FormatError(f"--values: axis {axis} takes {need}, got {text!r}")
+    return val
+
+
 def cmd_sweep(args) -> int:
     config = load_config(args.config, {"seed": args.seed})
     methods = args.methods.split(",")
@@ -434,7 +455,7 @@ def cmd_sweep(args) -> int:
 
     base = scenes.scene_from_dict({**config["scene"], "seed": config["seed"]})
     axis = args.axis
-    values = [float(v) for v in args.values.split(",")] if args.values else [None]
+    values = [_sweep_value(axis, v) for v in args.values.split(",")] if args.values else [None]
     sweep = {} if axis is None else {axis: values}
     batch = scene_batch(base, sweep, args.count, len(grid))
 

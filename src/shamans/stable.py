@@ -34,7 +34,10 @@ _NUM_PROJECTIONS = 8
 _PROJECTION_SEED = 0x5EED
 _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
 # the sketch and the alpha estimate read _CHUNK_BYTES (from .signal) at
-# call time as the bound on the phase scratch they hold at once
+# call time as the bound on the phase scratch they hold at once; Psi, the
+# p-normalization and a sketch done in one call work in blocks of at most
+# _BLOCK_BYTES of scratch, which stay in cache
+_BLOCK_BYTES = 256 * 2**10
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
 _MAG_FLOOR = 1e-300
@@ -169,6 +172,14 @@ def sample_elliptic(alpha: float, epsilon: float, num_channels: int, count: int,
     return np.sqrt(a_pos)[None, :] * g
 
 
+def _blocks(start: int, stop: int, unit_bytes: int) -> list:
+    """Consecutive ``(b0, b1)`` ranges covering ``range(start, stop)``, each
+    of at most ``_BLOCK_BYTES`` of scratch at ``unit_bytes`` per item (and
+    at least one item)."""
+    step = max(1, _BLOCK_BYTES // unit_bytes)
+    return [(b, min(b + step, stop)) for b in range(start, stop, step)]
+
+
 def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
     """Sums over the last axis of cos(2h) and sin(2h) for half-angles h.
 
@@ -212,15 +223,14 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     The projections and all projection-theta pairs of the characteristic
     function are streamed over the samples in bounded chunks (see
     ``_map_chunks``), with cos and sin of each phase taken from one
-    half-angle tangent.
+    half-angle tangent; within a chunk the CF sums are taken one projection
+    at a time.
     """
     flat = spec.bins.reshape(spec.num_channels, -1)
     if spec.valid_mask is not None:
         flat = flat[:, spec.valid_mask.reshape(-1)]
     if flat.shape[1] < 100:
         raise EstimationError("need at least 100 TF samples to estimate alpha")
-    if not np.any(flat):
-        raise EstimationError("cannot estimate alpha from an all-zero spectrogram")
 
     rng = np.random.default_rng(_PROJECTION_SEED)
     proj = rng.standard_normal((_NUM_PROJECTIONS, spec.num_channels)) \
@@ -241,6 +251,9 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     med = _abs_median(y)
     live = med > 0
     if not live.any():
+        # the only case that needs the full pass over the input
+        if not np.any(flat):
+            raise EstimationError("cannot estimate alpha from an all-zero spectrogram")
         return AlphaParam(_ALPHA_MAX)  # no projection has a scale to read
     if not live.all():
         y = y[live]
@@ -248,9 +261,14 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     # in-place division raised the peak RSS of 1-s scenes by 3 MB (a
     # different heap layout under the sketch's arrays)
     y = y / med[live, None]  # [D', n]
-    half_thetas = 0.5 * _ECF_THETAS[None, :, None]
-    parts = _map_chunks(lambda s0, s1: _cos_sin_sums(half_thetas * y[:, None, s0:s1]),
-                        num, 16 * y.shape[0] * _ECF_THETAS.size, _CHUNK_BYTES)
+    half_thetas = 0.5 * _ECF_THETAS[:, None]
+
+    def cf_sums(s0, s1):  # [2, D', K]: no [D', K, n] phase array is ever whole
+        sums = [_cos_sin_sums(half_thetas * row[s0:s1]) for row in y]
+        return np.array(sums).transpose(1, 0, 2)
+
+    # the chunk edges are those of a [D', K] phase block per sample
+    parts = _map_chunks(cf_sums, num, 16 * y.shape[0] * _ECF_THETAS.size, _CHUNK_BYTES)
     cos_sum = np.zeros((y.shape[0], _ECF_THETAS.size))
     sin_sum = np.zeros_like(cos_sum)
     for c, s in parts:  # in chunk order, so the sums do not depend on threads
@@ -284,19 +302,38 @@ def normalize_observations(spec: Spectrogram, p: float) -> Spectrogram:
 
     All-zero TF vectors cannot be normalized; they are zeroed out and
     excluded from downstream time averages through ``valid_mask``.
+
+    The pass streams over chunks of bins (see ``_map_chunks``), and each
+    chunk over blocks of bins with at most ``_BLOCK_BYTES`` of |x|^p
+    scratch, written straight into the output. Every value is computed per
+    TF cell, so the result does not depend on the chunks or the threads.
+    Bins, not frames: a bin's frames are contiguous, and chunks of frames
+    made a 40-s pass slower than the unchunked one.
     """
     if p <= 0:
         raise ParameterError("p must be positive")
-    powers = np.abs(spec.bins)
-    powers **= p  # in place: one [M, F, T] temporary, not two
-    norms_p = powers.sum(axis=0)  # [F, T]
-    del powers  # freed before the [M, F, T] quotient is allocated
-    mask = norms_p > 0
-    if spec.valid_mask is not None:
-        mask &= spec.valid_mask
-    safe = np.where(norms_p > 0, norms_p, 1.0)
-    bins = spec.bins / safe[None, :, :]  # finite where the input is
-    bins[:, ~mask] = 0.0
+    num_channels, num_freqs, num_frames = spec.bins.shape
+    bins = np.empty(spec.bins.shape, dtype=np.complex128)
+    mask = np.empty((num_freqs, num_frames), dtype=bool)
+
+    unit_bytes = 8 * num_channels * num_frames  # |x|^p of one bin
+
+    def normalize(c0, c1):
+        for f0, f1 in _blocks(c0, c1, unit_bytes):
+            x = spec.bins[:, f0:f1]
+            powers = np.abs(x)
+            powers **= p  # in place: one temporary, not two
+            norms_p = powers.sum(axis=0)  # [Fb, T]
+            del powers  # freed before the division's own block of scratch
+            valid = mask[f0:f1]
+            np.greater(norms_p, 0, out=valid)
+            if spec.valid_mask is not None:
+                valid &= spec.valid_mask[f0:f1]
+            out = bins[:, f0:f1]
+            np.divide(x, np.where(norms_p > 0, norms_p, 1.0), out=out)  # finite where x is
+            out[:, ~valid] = 0.0
+
+    _map_chunks(normalize, num_freqs, unit_bytes, _CHUNK_BYTES)
     return _unchecked(spec, bins=bins, valid_mask=mask)
 
 
@@ -313,7 +350,10 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     chunk's phases come from one batched real matmul [F, L, 2M] @
     [F, 2M, Tc] and their cos and sin from one half-angle tangent, reduced
     to [F, L] sums. Working memory is bounded by ``_CHUNK_BYTES`` and does
-    not grow with T.
+    not grow with T. An input done in one inline call (such as a 1-s
+    scene) is taken in blocks of bins with at most ``_BLOCK_BYTES`` of
+    phases each; every (bin, direction) cell still sums the same frames in
+    the same order.
     """
     if not same_freq_axis(spec.freqs_hz, svs.freqs_hz):
         raise ShapeError("spectrogram and SV set must share the frequency axis")
@@ -330,8 +370,19 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
 
     def chunk_sums(t0, t1):
         x = spec.bins[:, :, t0:t1].transpose(1, 0, 2)  # [F, M, Tc]
-        half = probes @ np.concatenate((x.real, x.imag), axis=1)  # [F, L, Tc]
-        return _cos_sin_sums(half, None if mask is None else mask[:, None, t0:t1])
+        sums = np.empty((2, num_freqs, num_dirs))
+        # a chunk of a longer input stays whole: split further, its many
+        # small numpy calls kept the worker threads waiting on the
+        # interpreter lock (on 2 CPUs, 256-KB blocks took a 20-s sketch
+        # from 105 to 170 ms)
+        blocks = _blocks(0, num_freqs, 16 * num_dirs * num_frames) \
+            if t1 - t0 == num_frames else [(0, num_freqs)]
+        for f0, f1 in blocks:
+            xb = x[f0:f1]
+            half = probes[f0:f1] @ np.concatenate((xb.real, xb.imag), axis=1)  # [Fb, L, Tc]
+            sums[:, f0:f1] = _cos_sin_sums(
+                half, None if mask is None else mask[f0:f1, None, t0:t1])
+        return sums
 
     parts = _map_chunks(chunk_sums, num_frames, 16 * num_freqs * num_dirs, _CHUNK_BYTES)
     cos_sum = np.zeros((num_freqs, num_dirs))
@@ -349,12 +400,25 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
 
 
 def build_psi(svs: NormalizedSVSet, alpha: AlphaParam) -> np.ndarray:
-    """Stacked |a~_l^H a~_l'|^alpha coherence blocks, [F' * L, L]."""
+    """Stacked |a~_l^H a~_l'|^alpha coherence blocks, [F' * L, L].
+
+    Psi comes out column-major, the layout ``multiplicative_update`` uses.
+    The complex Gram blocks are formed a few bins at a time (at most
+    ``_BLOCK_BYTES`` of them), their moduli written straight into the
+    output, and the power taken in place, so the only full-size array is
+    Psi itself.
+    """
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
-    psi = np.abs(a.conj() @ a.transpose(0, 2, 1))  # one batched [L, M] @ [M, L] per bin
-    psi **= alpha.alpha  # in place: no second [F, L, L] temporary
-    f, l, _ = psi.shape
-    return psi.reshape(f * l, l)
+    f, l, _ = a.shape
+    blocks = np.empty((l, f, l)).transpose(1, 2, 0)  # [F, L, L] over column-major Psi
+    for f0, f1 in _blocks(0, f, 16 * l * l):
+        # operands are views of the SVs, so every bin's product takes the
+        # matmul path (BLAS or not) that one product over all bins took
+        blk = a[f0:f1]
+        np.abs(blk.conj() @ blk.transpose(0, 2, 1), out=blocks[f0:f1])
+    psi = blocks.reshape(f * l, l)  # a view: rows f * L + l
+    psi **= alpha.alpha
+    return psi
 
 
 def multiplicative_update(sketch: LevySketch, config: SolverConfig,
@@ -377,6 +441,8 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     Psi is used column-major: OpenBLAS splits the transposed product
     Psi^T r across threads far better in that layout (the same float64
     sums in another order, about a third less time with two threads).
+    ``build_psi`` returns it in that layout, so no copy is made here; a
+    C-ordered Psi is copied once.
     """
     psi = np.asfortranarray(sketch.psi)
     i_hat = sketch.i_hat
@@ -389,8 +455,10 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     for it in range(config.iterations):
         if it == late_start:
             ups_late = ups.copy()
-        pv = np.maximum(psi @ ups, 1e-12)
-        ups = ups * (psi.T @ (i_hat / pv)) / den
+        ratio = psi @ ups  # one [F' * L] vector per iteration, reused in place
+        np.maximum(ratio, 1e-12, out=ratio)
+        np.divide(i_hat, ratio, out=ratio)
+        ups = ups * (psi.T @ ratio) / den
     late_rel_change = float(np.abs(ups - ups_late).sum() / max(ups.sum(), 1e-300))
     return SpatialMeasure(upsilon=ups, grid=grid,
                           info={"late_rel_change": late_rel_change})

@@ -302,6 +302,29 @@ class TestConfig:
             assert f"{path}:" in err
         assert key is None or f"'{key}'" in err or f"{key} must be" in err
 
+    @pytest.mark.parametrize("flag, text, key", [
+        ("--config", '{"peaks": {"threshold": NaN}}', "peaks.threshold"),
+        ("--config", '{"scene": {"snr_db": Infinity}}', "scene.snr_db"),
+        ("--config", '{"solver": {"sparsity_lambda": -Infinity}}', "solver.sparsity_lambda"),
+        ("--config", '{"array": {"seed": Infinity}}', "array.seed"),
+        ("--scene", '{"source_indices": [3], "duration_s": NaN}', "duration_s"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, flag, text, key):
+        # before: an empty peak list for a NaN threshold (rc 0), and an
+        # infinite snr_db rejected only by SceneSpec (rc 4)
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main(["localize", flag, str(path), "--sv-model", "alg",
+                     "--method", "music-1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: key {key!r} must be a number" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_flag_exits_2(self, measured_svset, tmp_path, capsys):
+        assert main(["fit", "--measurements", str(measured_svset), "--ridge-lambda", "nan",
+                     "--out", str(tmp_path / "m.svst")]) == 2
+        assert "key 'fit.ridge_lambda' must be a number" in capsys.readouterr().err
+
     def test_negative_t60_sweep_exits_4(self, small_config, tmp_path):
         # before: an ok row scored on an exponentially growing "reverb"
         assert main(["sweep", "--config", str(small_config), "--axis", "t60_s",
@@ -460,6 +483,22 @@ class TestSweep:
                      "--out", str(out)]) == 0
         with open(out / "summary.csv", newline="") as fh:
             assert [r["value"] for r in csv.DictReader(fh)] == ["-5.0", "20.0"]
+
+    @pytest.mark.parametrize("axis, values, bad", [
+        ("n_sources", "1.5,2.7", "1.5"), ("n_sources", "1,nan", "nan"),
+        ("n_sources", "-1", "-1"), ("snr_db", "abc", "abc"), ("source_alpha", "1.5,inf", "inf"),
+    ])
+    def test_values_off_the_axis_exit_2(self, small_config, tmp_path, capsys, axis, values,
+                                        bad):
+        # before: rows labelled 1.5 and 2.7 holding 1 and 2 sources (rc 0),
+        # and ValueError tracebacks (rc 1)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(small_config), "--axis", axis,
+                     f"--values={values}", "--count", "1", "--methods", "music-1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"axis {axis}" in err and repr(bad) in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_report_aggregates(self, small_config, tmp_path, monkeypatch):
         out = tmp_path / "s"

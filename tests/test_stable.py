@@ -109,6 +109,12 @@ class TestEstimateAlpha:
         with pytest.raises(EstimationError):
             estimate_alpha(spectrogram_from_samples(np.zeros(10_000, dtype=complex)))
 
+    def test_zero_medians_of_a_nonzero_input_give_gaussian_edge(self):
+        # every projection's median modulus is 0, but the input is not zero
+        x = np.zeros(10_000, dtype=complex)
+        x[::7] = 1.0 + 2.0j
+        assert estimate_alpha(spectrogram_from_samples(x)).alpha == 2.0
+
     def test_too_few_samples_raises(self):
         with pytest.raises(EstimationError):
             estimate_alpha(spectrogram_from_samples(np.ones(50, dtype=complex)))
@@ -193,6 +199,23 @@ class TestNormalizeObservations:
         assert np.array_equal(out.bins, want_bins)
         assert np.array_equal(out.valid_mask, want_mask)
         assert np.array_equal(spec.bins, before)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_chunks_same_bits_on_any_thread_count(self, monkeypatch, thread_counts, masked):
+        # |x|^p is 8 * 4 * 61 bytes per bin: chunks of 2 bins, blocks of 1
+        monkeypatch.setattr(stable, "_CHUNK_BYTES", 8 * 4 * 61 * 8)
+        monkeypatch.setattr(stable, "_BLOCK_BYTES", 8 * 4 * 61)
+        rng = np.random.default_rng(3)
+        bins = rng.standard_normal((4, 9, 61)) + 1j * rng.standard_normal((4, 9, 61))
+        bins[:, :, 5] = 0.0
+        mask = rng.random((9, 61)) < 0.8 if masked else None
+        spec = Spectrogram(bins, 48000, 768, 384, valid_mask=mask)
+        serial, threaded, pools = thread_counts(lambda: normalize_observations(spec, 1.3))
+        assert pools == {"1": [], "4": [4]}
+        want_bins, want_mask = seed_normalize(spec, 1.3)
+        for out in (serial, threaded):
+            assert np.array_equal(out.bins, want_bins)
+            assert np.array_equal(out.valid_mask, want_mask)
 
 
 def seed_normalize(spec, p):
@@ -367,6 +390,105 @@ class TestStreamedSketch:
         assert np.all(i_hat >= 0)
         for other in (flipped, shuffled):
             assert np.max(np.abs(cf_modulus(other) - cf_modulus(i_hat))) <= 1e-12
+
+
+def unblocked_levy(spec, svs, alpha, chunk=None):
+    """Reference: the real-matmul sketch over all bins at once, in chunks of
+    ``chunk`` frames (default: all) summed in order."""
+    a = svs.values.transpose(2, 0, 1)
+    probes = (0.5 / 2.0 ** (1.0 / alpha.alpha)) * np.concatenate((a.real, a.imag), axis=2)
+    mask = spec.valid_mask
+    cos_sum = np.zeros((svs.num_freqs, len(svs.grid)))
+    sin_sum = np.zeros_like(cos_sum)
+    chunk = chunk or spec.num_frames
+    for t0 in range(0, spec.num_frames, chunk):
+        x = spec.bins[:, :, t0:t0 + chunk].transpose(1, 0, 2)
+        half = probes @ np.concatenate((x.real, x.imag), axis=1)
+        c, s = stable._cos_sin_sums(half, None if mask is None
+                                    else mask[:, None, t0:t0 + chunk])
+        cos_sum += c
+        sin_sum += s
+    counts = spec.num_frames if mask is None else np.maximum(mask.sum(axis=1), 1)[:, None]
+    mag = np.clip(np.hypot(cos_sum, sin_sum) / counts, 1e-300, 1.0)
+    return (-2.0 * np.log(mag)).reshape(-1)
+
+
+class TestBlockedScratch:
+    """The sketch and Psi in cache-sized blocks give the unblocked bits, and
+    hold little more than their outputs."""
+
+    @pytest.mark.parametrize("num_freqs", [1, 7])
+    @pytest.mark.parametrize("bins_per_block", [1, 3, 100])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_sketch_matches_unblocked(self, monkeypatch, num_freqs, bins_per_block, masked):
+        spec, svs = random_levy_inputs(4, 37, 1.0, masked, num_freqs=num_freqs)
+        monkeypatch.setattr(stable, "_BLOCK_BYTES", 16 * 5 * 37 * bins_per_block)
+        alpha = AlphaParam(1.4)
+        assert np.array_equal(levy_estimator(spec, svs, alpha),
+                              unblocked_levy(spec, svs, alpha))
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_chunked_sketch_matches_unblocked(self, monkeypatch, masked):
+        # chunks of 8 frames of 7 bins x 5 directions; a tiny block budget
+        # leaves the chunks whole
+        monkeypatch.setattr(stable, "_CHUNK_BYTES", 16 * 7 * 5 * 8 * 4)
+        monkeypatch.setattr(stable, "_BLOCK_BYTES", 16)
+        spec, svs = random_levy_inputs(5, 61, 1.0, masked, num_freqs=7)
+        alpha = AlphaParam(1.4)
+        assert np.array_equal(levy_estimator(spec, svs, alpha),
+                              unblocked_levy(spec, svs, alpha, chunk=8))
+
+    @pytest.mark.parametrize("num_freqs", [1, 7])
+    @pytest.mark.parametrize("bins_per_block", [1, 3])
+    def test_psi_matches_unblocked(self, monkeypatch, num_freqs, bins_per_block):
+        monkeypatch.setattr(stable, "_BLOCK_BYTES", 16 * 12 * 12 * bins_per_block)
+        rng = np.random.default_rng(num_freqs)
+        shape = (12, 4, num_freqs)
+        svs = normalize_svs(SteeringVectorSet(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            DoaGrid.uniform(12, 1.7), np.arange(1, num_freqs + 1) * 62.5))
+        a = svs.values.transpose(2, 0, 1)
+        psi = build_psi(svs, AlphaParam(1.37))
+        assert psi.flags.f_contiguous
+        want = np.abs(a.conj() @ a.transpose(0, 2, 1)) ** 1.37
+        assert np.array_equal(psi, want.reshape(-1, 12))
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("num_dirs, num_freqs", [(60, 128), (360, 16)])
+    def test_peak_memory_of_psi(self, num_dirs, num_freqs):
+        rng = np.random.default_rng(num_dirs)
+        shape = (num_dirs, 6, num_freqs)
+        svs = normalize_svs(SteeringVectorSet(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            DoaGrid.uniform(num_dirs, 1.7), np.arange(1, num_freqs + 1) * 62.5))
+        peak, psi = self.peak_bytes(lambda: build_psi(svs, AlphaParam(1.5)))
+        # the full complex Gram and its moduli took 3 times Psi
+        assert peak <= 1.2 * psi.nbytes
+
+    def test_solver_makes_no_copy_of_column_major_psi(self):
+        sketch, _ = random_sketch(12, num_dirs=60, num_freqs=128, noise=0.1)
+        sketch.psi = np.asfortranarray(sketch.psi)
+        peak, _ = self.peak_bytes(
+            lambda: multiplicative_update(sketch, SolverConfig(iterations=20)))
+        assert peak < 0.05 * sketch.psi.nbytes
+
+    def test_peak_memory_of_one_second_scene(self):
+        _, params, svs = make_scene_setup(seed=9)
+        sg, _ = synth_scene(SceneSpec(source_indices=[5, 25, 45], seed=3, snr_db=20.0),
+                            svs, params)
+        assert sg.num_frames >= 124 and sg.bins.nbytes < 2e6
+        peak, _ = self.peak_bytes(lambda: shamans_localize(sg, svs, SolverConfig()))
+        # Psi (3.7 MB) and the normalized bins (1.5 MB) are most of it; the
+        # whole-cube sketch, Gram and alpha scratch reached 19 MB
+        assert peak < 10e6
 
 
 class TestThreadedFrontEnd:

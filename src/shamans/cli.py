@@ -37,6 +37,7 @@ from .interp import (
     SparseSvMeasurements,
     fit_coordnet,
     fit_sh,
+    interp_error_report,
     interp_svs,
     load_fit_artifact,
     save_fit_artifact,
@@ -255,29 +256,64 @@ def build_field(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
                                   perturb_strength=float(f["perturb_strength"]))
 
 
+def fit_interpolator(measured: SteeringVectorSet, method: str, config: dict):
+    """Fit an ``sh`` or ``nslite`` interpolator to ``fit.n_sv`` directions of
+    ``measured``, drawn from the master seed's "svsample" substream, with
+    the config's ``fit`` settings."""
+    fit_cfg = config["fit"]
+    n_sv = int(fit_cfg["n_sv"])
+    if n_sv < 1:
+        raise ParameterError(f"fit.n_sv must be at least 1, got {n_sv}")
+    if n_sv > measured.num_dirs:
+        raise ShapeError(f"requested {n_sv} measurements, set has {measured.num_dirs}")
+    rng = np.random.default_rng(derive_seed(config["seed"], "svsample"))
+    chosen = np.sort(rng.choice(measured.num_dirs, size=n_sv, replace=False))
+    samples = SparseSvMeasurements(directions=measured.grid.directions()[chosen],
+                                   values=measured.values[chosen],
+                                   freqs_hz=measured.freqs_hz)
+    if method == "sh":
+        degree = fit_cfg["max_degree"]
+        if degree is None:
+            degree = ShBasisConfig.default_degree(n_sv)
+        return fit_sh(samples, ShBasisConfig(max_degree=int(degree),
+                                             ridge_lambda=float(fit_cfg["ridge_lambda"])))
+    return fit_coordnet(samples, CoordNetConfig(
+        num_features=int(fit_cfg["num_features"]),
+        feature_scale=float(fit_cfg["feature_scale"]),
+        ridge_lambda=float(fit_cfg["ridge_lambda"]),
+        seed=derive_seed(config["seed"], "nslite")))
+
+
 def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
-                geometry: ArrayGeometry | None = None) -> SteeringVectorSet:
-    """Steering vectors per the configured model: ref | alg | sh | nslite
-    (the last two from a fit artifact of that kind)."""
+                geometry: ArrayGeometry | None = None,
+                ref: SteeringVectorSet | None = None) -> SteeringVectorSet:
+    """Steering vectors per the configured model: ref | alg | sh | nslite.
+
+    With ``sv.path`` set, ``ref`` loads that SVSET and ``sh``/``nslite``
+    that fit artifact, which must be of their kind. Without it, ``ref`` is
+    the measured field on the grid (the ``ref`` set given, else built) and
+    ``sh``/``nslite`` are fitted to it by :func:`fit_interpolator`.
+    """
     model = config["sv"]["model"]
     path = config["sv"]["path"]
     if model == "alg":
-        geometry = geometry or build_array(config)
-        return algebraic_svs(geometry, grid, params.freqs_hz)
+        return algebraic_svs(geometry or build_array(config), grid, params.freqs_hz)
+    if model not in ("ref", "sh", "nslite"):
+        raise ParameterError(f"unknown sv model {model!r}")
+    if path is None:
+        if ref is None:
+            geometry = geometry or build_array(config)
+            ref = build_field(config, geometry, grid, params).on_grid(grid)
+        if model == "ref":
+            return ref
+        return interp_svs(fit_interpolator(ref, model, config), grid, params.freqs_hz)
     if model == "ref":
-        if path is not None:
-            return load_svset(path)
-        geometry = geometry or build_array(config)
-        return build_field(config, geometry, grid, params).on_grid(grid)
-    if model in ("sh", "nslite"):
-        if path is None:
-            raise ParameterError("sv.path must point to a fit artifact")
-        fitted = load_fit_artifact(path)
-        kind = "sh" if isinstance(fitted, ShCoefficients) else "nslite"
-        if kind != model:
-            raise ParameterError(f"{path} is an {kind!r} fit artifact, not {model!r}")
-        return interp_svs(fitted, grid, params.freqs_hz)
-    raise ParameterError(f"unknown sv model {model!r}")
+        return load_svset(path)
+    fitted = load_fit_artifact(path)
+    kind = "sh" if isinstance(fitted, ShCoefficients) else "nslite"
+    if kind != model:
+        raise ParameterError(f"{path} is an {kind!r} fit artifact, not {model!r}")
+    return interp_svs(fitted, grid, params.freqs_hz)
 
 
 def run_method(method: str, spectrogram, svs, config: dict):
@@ -291,7 +327,11 @@ def run_method(method: str, spectrogram, svs, config: dict):
             p_norm=float(solver["p_norm"])))
         return evaluate.minmax_normalize(measure.upsilon), "shamans", measure.info
     if method.startswith("music-"):
-        rank = int(method.split("-", 1)[1])
+        try:
+            rank = int(method.split("-", 1)[1])
+        except ValueError:
+            raise ParameterError(f"method {method!r}: the MUSIC subspace rank "
+                                 "must be an integer") from None
         spectrum = music_spectrum(spectrogram, svs, subspace_rank=rank)
         return evaluate.minmax_normalize(spectrum.values), spectrum.method_tag, {}
     if method == "srp-phat":
@@ -310,35 +350,19 @@ def cmd_fit(args) -> int:
         "fit": {"n_sv": args.n_sv, "method": args.method, "max_degree": args.max_degree,
                 "ridge_lambda": args.ridge_lambda}})
     fit_cfg = config["fit"]
-
     measured = load_svset(args.measurements)
-    n_sv = int(fit_cfg["n_sv"])
-    if n_sv > measured.num_dirs:
-        raise ShapeError(f"requested {n_sv} measurements, set has {measured.num_dirs}")
-    rng = np.random.default_rng(derive_seed(config["seed"], "svsample"))
-    chosen = np.sort(rng.choice(measured.num_dirs, size=n_sv, replace=False))
-    dirs = measured.grid.directions()[chosen]
-    samples = SparseSvMeasurements(directions=dirs,
-                                   values=measured.values[chosen],
-                                   freqs_hz=measured.freqs_hz)
-
-    if fit_cfg["method"] == "sh":
-        degree = fit_cfg["max_degree"]
-        if degree is None:
-            degree = ShBasisConfig.default_degree(n_sv)
-        model = fit_sh(samples, ShBasisConfig(max_degree=int(degree),
-                                              ridge_lambda=float(fit_cfg["ridge_lambda"])))
-    else:
-        model = fit_coordnet(samples, CoordNetConfig(
-            num_features=int(fit_cfg["num_features"]),
-            feature_scale=float(fit_cfg["feature_scale"]),
-            ridge_lambda=float(fit_cfg["ridge_lambda"]),
-            seed=derive_seed(config["seed"], "nslite")))
+    model = fit_interpolator(measured, fit_cfg["method"], config)
+    # the fit's relative SV error per bin, over every measured direction
+    sv_err = interp_error_report(measured,
+                                 interp_svs(model, measured.grid, measured.freqs_hz))
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    n_sv = int(fit_cfg["n_sv"])
     save_fit_artifact(model, out, {"n_sv": n_sv, "fit_method": fit_cfg["method"],
-                                   "master_seed": config["seed"]})
+                                   "master_seed": config["seed"],
+                                   "sv_err_median": float(np.median(sv_err)),
+                                   "sv_err_max": float(sv_err.max())})
     print(f"wrote {out} ({fit_cfg['method']}, {n_sv} measurements)")
     return EXIT_OK
 
@@ -403,8 +427,7 @@ def cmd_localize(args) -> int:
             {**config["scene"], "seed": config["seed"]})
         ref = build_field(config, geometry, grid, params).on_grid(grid)
         spectrogram, truth = synth_scene(scene, ref, params)
-        svs = ref if config["sv"]["model"] == "ref" and config["sv"]["path"] is None \
-            else resolve_svs(config, grid, params, geometry)
+        svs = resolve_svs(config, grid, params, geometry, ref)
 
     result = _localize_once(config, spectrogram, svs, truth, config["method"])
 
@@ -462,15 +485,12 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    for sv_model in sv_models:
-        if sv_model in ("sh", "nslite") and config["sv"]["path"] is None:
-            raise ParameterError(f"sv.path needed for sv model {sv_model!r}")
-
     # The field and the SV sets are built once and shared by every scene;
-    # `ref` is the field the scenes are synthesized with. A failing step
-    # costs the rows it would have produced, never the sweep: the field
-    # every row, a scene's synthesis that scene's rows, an SV set its
-    # model's rows, a method one row.
+    # `ref` is the field the scenes are synthesized with, and a fitted model
+    # without sv.path is fitted to it. A failing step costs the rows it
+    # would have produced, never the sweep: the field every row, a scene's
+    # synthesis that scene's rows, an SV set its model's rows, a method one
+    # row.
     field_status, svsets = None, {}
     try:
         params = build_stft_params(config)
@@ -482,7 +502,7 @@ def cmd_sweep(args) -> int:
         try:
             svsets[sv_model] = ref if sv_model == "ref" else resolve_svs(
                 {**config, "sv": {**config["sv"], "model": sv_model}}, grid, params,
-                geometry)
+                geometry, ref)
         except Exception as exc:
             svsets[sv_model] = _fault_status("sv-error", exc)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedMetricError
+from .errors import FormatError, ParameterError, UndefinedMetricError
 
 MISS_COST_DEG = 180.0
 
@@ -234,12 +234,15 @@ class SweepRow:
     status: str = "ok"
 
 
+DETAIL_COLUMNS = ["scene_id", "axis", "value", "method", "sv_model", "n_true",
+                  "n_est", "err_mean_deg", "err_deg_per_source", "acc15", "status"]
+
+
 def write_detail(rows, path) -> None:
     """Per-row CSV (RFC 4180, UTF-8), errors and acc15 to six decimals."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scene_id", "axis", "value", "method", "sv_model", "n_true",
-                         "n_est", "err_mean_deg", "err_deg_per_source", "acc15", "status"])
+        writer.writerow(DETAIL_COLUMNS)
         for r in rows:
             errs = r.errors_deg
             writer.writerow([
@@ -250,16 +253,31 @@ def write_detail(rows, path) -> None:
 
 
 def read_detail(path) -> list:
-    """The rows of a ``write_detail`` CSV, axis values back as floats."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [SweepRow(
-            scene_id=rec["scene_id"], axis=rec["axis"],
-            value=float(rec["value"]) if rec["value"] else "",
-            method=rec["method"], sv_model=rec["sv_model"],
-            n_true=int(rec["n_true"]), n_est=int(rec["n_est"]),
-            errors_deg=[float(e) for e in rec["err_deg_per_source"].split(";") if e],
-            acc15=float(rec["acc15"]) if rec["acc15"] else None,
-            status=rec["status"]) for rec in csv.DictReader(fh)]
+    """The rows of a ``write_detail`` CSV, axis values back as floats; a
+    file without its columns, a row with another field count or a value of
+    the wrong kind is a FormatError naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in DETAIL_COLUMNS if c not in (reader.fieldnames or [])]
+            if missing:
+                raise FormatError(f"{path}: not a detail CSV: no {missing[0]!r} column")
+            rows = []
+            for rec in reader:
+                if None in rec or None in rec.values():  # a long or a short row
+                    raise FormatError(f"{path}: line {reader.line_num} does not have "
+                                      f"{len(reader.fieldnames)} fields")
+                rows.append(SweepRow(
+                    scene_id=rec["scene_id"], axis=rec["axis"],
+                    value=float(rec["value"]) if rec["value"] else "",
+                    method=rec["method"], sv_model=rec["sv_model"],
+                    n_true=int(rec["n_true"]), n_est=int(rec["n_est"]),
+                    errors_deg=[float(e) for e in rec["err_deg_per_source"].split(";") if e],
+                    acc15=float(rec["acc15"]) if rec["acc15"] else None,
+                    status=rec["status"]))
+            return rows
+    except (ValueError, csv.Error) as exc:  # not UTF-8, or a value not a number
+        raise FormatError(f"{path}: not a detail CSV ({type(exc).__name__}: {exc})") from exc
 
 
 def write_summary(rows, path) -> None:

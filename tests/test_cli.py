@@ -15,6 +15,8 @@ import pytest
 
 from shamans import cli
 from shamans.cli import DEFAULT_CONFIG, load_config, main
+from shamans.interp import interp_error_report, interp_svs, load_fit_artifact
+from shamans.steering import load_svset
 
 DATA = Path(__file__).parent / "data"
 
@@ -73,6 +75,15 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def with_n_sv(small_config, tmp_path, n_sv):
+    """The shared config with ``fit.n_sv`` set, written under ``tmp_path``."""
+    cfg = json.loads(Path(small_config).read_text())
+    cfg["fit"] = {"n_sv": n_sv}
+    path = tmp_path / "n_sv.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestFit:
     def test_fit_and_localize_roundtrip(self, small_config, measured_svset, tmp_path):
         model = tmp_path / "model.svst"
@@ -111,6 +122,36 @@ class TestFit:
                    "--measurements", str(tmp_path / "nope.svst"),
                    "--out", str(tmp_path / "m.svst")])
         assert rc == 2
+
+    @pytest.mark.parametrize("n_sv, message", [
+        ("-1", "fit.n_sv must be at least 1, got -1"),
+        ("0", "fit.n_sv must be at least 1, got 0"),
+        ("25", "requested 25 measurements, set has 24"),
+    ])
+    def test_n_sv_off_the_grid_exits_4(self, small_config, measured_svset, tmp_path,
+                                       capsys, n_sv, message):
+        # before: -1 and 0 died in Generator.choice with a ValueError traceback (rc 1)
+        assert main(["fit", "--config", str(small_config),
+                     "--measurements", str(measured_svset), "--n-sv", n_sv,
+                     "--out", str(tmp_path / "m.svst")]) == 4
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("method, bound", [("sh", 1e-7), ("nslite", 1e-4)])
+    def test_in_run_fit_matches_the_artifact_route(self, tmp_path, method, bound):
+        # default config, n_sv 32: the same directions and settings as `fit`;
+        # the artifact route rounds the measurements and the fit to complex64
+        assert main(["simulate", "--out", str(tmp_path), "--emit-ref-svset"]) == 0
+        model = tmp_path / f"{method}.svst"
+        assert main(["fit", "--measurements", str(tmp_path / "ref.svst"),
+                     "--method", method, "--out", str(model)]) == 0
+        config = load_config(None)
+        grid, params = cli.build_grid(config), cli.build_stft_params(config)
+        in_run, loaded = (cli.resolve_svs({**config, "sv": {"model": method, "path": path}},
+                                          grid, params)
+                          for path in (None, str(model)))
+        diff = np.abs(in_run.values - loaded.values).max()
+        assert diff / np.abs(loaded.values).max() < bound
 
 
 class TestConfig:
@@ -364,9 +405,17 @@ class TestFitArtifact:
         err = capsys.readouterr().err
         assert f"{sidecar}:" in err and "Traceback" not in err
 
-    def test_sidecar_records_the_fit_run(self, artifacts):
-        meta = json.loads(artifacts["nslite"].with_suffix(".json").read_text())
-        assert (meta["n_sv"], meta["fit_method"], meta["master_seed"]) == (12, "nslite", 7)
+    def test_sidecar_records_the_fit_run(self, artifacts, measured_svset):
+        measured = load_svset(measured_svset)
+        for kind, model in artifacts.items():
+            meta = json.loads(model.with_suffix(".json").read_text())
+            assert (meta["n_sv"], meta["fit_method"], meta["master_seed"]) == (12, kind, 7)
+            # the relative SV error per bin over every measured direction, up
+            # to the artifact's complex64 rounding
+            fitted = interp_svs(load_fit_artifact(model), measured.grid, measured.freqs_hz)
+            err = interp_error_report(measured, fitted)
+            assert meta["sv_err_median"] == pytest.approx(np.median(err), rel=1e-4)
+            assert meta["sv_err_max"] == pytest.approx(err.max(), rel=1e-4)
 
 
 class TestLocalize:
@@ -430,6 +479,27 @@ class TestLocalize:
                    "--sv-path", str(sh_artifact), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "a fit artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sv_model", ["sh", "nslite"])
+    @pytest.mark.parametrize("n_sv, rc", [(12, 0), (-1, 4), (0, 4), (25, 4)])
+    def test_fitted_model_without_path_fits_in_run(self, small_config, tmp_path, capsys,
+                                                   monkeypatch, sv_model, n_sv, rc):
+        # before: "sv.path must point to a fit artifact" (rc 4) for every n_sv;
+        # the fit takes the field the scene is synthesized with
+        builds = []
+        real = cli.build_field
+        monkeypatch.setattr(cli, "build_field", lambda *args: builds.append(1) or real(*args))
+        config = with_n_sv(small_config, tmp_path, n_sv)
+        assert main(["localize", "--config", str(config), "--method", "music-1",
+                     "--sv-model", sv_model, "--out", str(tmp_path / "o")]) == rc
+        assert "Traceback" not in capsys.readouterr().err and len(builds) == 1
+
+    def test_non_integer_music_rank_exits_4(self, small_config, tmp_path, capsys):
+        # before: a ValueError traceback (rc 1)
+        assert main(["localize", "--config", str(small_config), "--method", "music-x",
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "method 'music-x'" in err and "Traceback" not in err
 
     def test_artifact_kind_must_match_sv_model(self, small_config, sh_artifact,
                                                tmp_path, capsys):
@@ -601,6 +671,72 @@ class TestSweep:
         assert calls == {"build_field": 1, "algebraic_svs": 1, "load_fit_artifact": 1}
         rows = read_rows(out / "detail.csv")
         assert len(rows) == 3 * 3 and all(r["status"] == "ok" for r in rows)
+
+    def test_in_run_fits_compare_both_interpolators(self, tmp_path, monkeypatch):
+        # default config, no sv.path: sh and nslite are fitted to the sweep's
+        # own ref, which is built once (before: exit 4, "sv.path needed")
+        builds = []
+        real = cli.build_field
+        monkeypatch.setattr(cli, "build_field", lambda *args: builds.append(1) or real(*args))
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "fits"
+        assert main(["sweep", "--count", "1", "--methods", "music-1",
+                     "--sv-models", "ref,alg,sh,nslite", "--out", str(out)]) == 0
+        rows = read_rows(out / "detail.csv")
+        assert sorted(r["sv_model"] for r in rows) == ["alg", "nslite", "ref", "sh"]
+        assert all(r["status"] == "ok" for r in rows) and len(builds) == 1
+
+    @pytest.mark.parametrize("n_sv, message", [
+        (-1, "fit.n_sv must be at least 1, got -1"),
+        (25, "requested 25 measurements, set has 24"),
+    ])
+    def test_in_run_fit_off_the_grid_becomes_rows(self, small_config, tmp_path, capsys,
+                                                  monkeypatch, n_sv, message):
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(with_n_sv(small_config, tmp_path, n_sv)),
+                     "--count", "2", "--methods", "music-1", "--sv-models", "ref,sh,nslite",
+                     "--out", str(out)]) == 0
+        for r in read_rows(out / "detail.csv"):
+            assert r["status"] == ("ok" if r["sv_model"] == "ref"
+                                   else f"sv-error: {message}")
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_integer_music_rank_becomes_row(self, small_config, tmp_path, capsys,
+                                                monkeypatch):
+        # before: "error: ValueError: invalid literal ..." and a traceback
+        monkeypatch.setenv("SHAMANS_THREADS", "1")
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(small_config), "--count", "1",
+                     "--methods", "music-x,music-1", "--out", str(out)]) == 0
+        status = {r["method"]: r["status"] for r in read_rows(out / "detail.csv")}
+        assert status == {"music-1": "ok",
+                          "music-x": "error: method 'music-x': the MUSIC subspace "
+                                     "rank must be an integer"}
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: "a,b\n1,2\n",
+        lambda text: "",
+        lambda text: text.replace(",music-1,", ",music-1,,", 1),
+        lambda text: text.replace(",ok\n", "\n", 1),
+        lambda text: re.sub(r"\n(scene_\d+),snr_db,5.0,", r"\n\1,snr_db,abc,", text,
+                            count=1),
+        lambda text: re.sub(r"\n(scene_\d+,snr_db,[^,]+,[^,]+,[^,]+),1,",
+                            r"\n\1,one,", text, count=1),
+    ])
+    def test_report_rejects_a_file_not_a_detail_csv(self, small_config, tmp_path,
+                                                    monkeypatch, capsys, edit):
+        # before: a KeyError or ValueError traceback (rc 1)
+        out = tmp_path / "s"
+        assert self.run_sweep(small_config, out, monkeypatch) == 0
+        text = (out / "detail.csv").read_text()
+        bad = tmp_path / "bad.csv"
+        bad.write_text(edit(text))
+        assert bad.read_text() != text
+        assert main(["report", "--detail", str(bad), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:" in err and "Traceback" not in err
 
     def test_sv_model_mismatch_becomes_rows(self, artifact_config, sh_artifact, tmp_path,
                                             monkeypatch):

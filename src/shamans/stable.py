@@ -9,8 +9,10 @@ with sparse multiplicative updates.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import math
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -38,6 +40,9 @@ _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
 # p-normalization and a sketch done in one call work in blocks of at most
 # _BLOCK_BYTES of scratch, which stay in cache
 _BLOCK_BYTES = 256 * 2**10
+# the solver forms its float64 ratio for a float32 Psi in blocks of at most
+# this many rows: 32 KB of float64, one L1 data cache
+_RATIO_ROWS = 4096
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
 _MAG_FLOOR = 1e-300
@@ -81,7 +86,9 @@ class LevySketch:
     """Stacked Lévy-exponent estimates and SV coherence blocks.
 
     Row f * L + l of both arrays refers to direction l probed at retained
-    frequency bin f (direction index moves fastest).
+    frequency bin f (direction index moves fastest). ``i_hat`` is float64;
+    a float32 ``psi`` is kept as given (``multiplicative_update`` then takes
+    its products in float32), and any other ``psi`` becomes float64.
     """
 
     i_hat: np.ndarray  # [F' * L]
@@ -91,7 +98,8 @@ class LevySketch:
 
     def __post_init__(self):
         self.i_hat = np.asarray(self.i_hat, dtype=np.float64)
-        self.psi = np.asarray(self.psi, dtype=np.float64)
+        keep = getattr(self.psi, "dtype", None) == np.float32
+        self.psi = np.asarray(self.psi, dtype=np.float32 if keep else np.float64)
         if self.psi.ndim != 2 or self.i_hat.ndim != 1:
             raise ShapeError("i_hat must be a vector and psi a matrix")
         if self.psi.shape[0] != self.i_hat.size:
@@ -399,25 +407,37 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     return (-2.0 * np.log(mag)).reshape(-1)  # f-blocks, l fastest
 
 
-def build_psi(svs: NormalizedSVSet, alpha: AlphaParam) -> np.ndarray:
+def build_psi(svs: NormalizedSVSet, alpha: AlphaParam, dtype=np.float64) -> np.ndarray:
     """Stacked |a~_l^H a~_l'|^alpha coherence blocks, [F' * L, L].
 
     Psi comes out column-major, the layout ``multiplicative_update`` uses.
     The complex Gram blocks are formed a few bins at a time (at most
-    ``_BLOCK_BYTES`` of them), their moduli written straight into the
-    output, and the power taken in place, so the only full-size array is
-    Psi itself.
+    ``_BLOCK_BYTES`` of scratch), so the only full-size array is Psi itself.
+    A float64 Psi takes the moduli straight into the output and the power
+    in place. Any other ``dtype`` takes each block's moduli and power in
+    float64 scratch and stores them rounded: a float32 Psi is the float64
+    one rounded to nearest, bit for bit, without a float64 Psi ever being
+    held whole.
     """
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
     f, l, _ = a.shape
-    blocks = np.empty((l, f, l)).transpose(1, 2, 0)  # [F, L, L] over column-major Psi
-    for f0, f1 in _blocks(0, f, 16 * l * l):
+    wide = np.dtype(dtype) == np.float64
+    blocks = np.empty((l, f, l), dtype=dtype).transpose(1, 2, 0)  # [F, L, L] over column-major Psi
+    # the complex Gram, plus its float64 moduli when they are rounded
+    spans = _blocks(0, f, (16 if wide else 24) * l * l)
+    mods = None if wide else np.empty((spans[0][1], l, l))
+    for f0, f1 in spans:
         # operands are views of the SVs, so every bin's product takes the
         # matmul path (BLAS or not) that one product over all bins took
         blk = a[f0:f1]
-        np.abs(blk.conj() @ blk.transpose(0, 2, 1), out=blocks[f0:f1])
+        out = blocks[f0:f1] if wide else mods[:f1 - f0]
+        np.abs(blk.conj() @ blk.transpose(0, 2, 1), out=out)
+        if not wide:
+            out **= alpha.alpha
+            blocks[f0:f1] = out
     psi = blocks.reshape(f * l, l)  # a view: rows f * L + l
-    psi **= alpha.alpha
+    if wide:
+        psi **= alpha.alpha
     return psi
 
 
@@ -438,26 +458,48 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     with k = iterations - max(1, iterations // 10): how far the last tenth
     of the iterations still moved the measure.
 
+    The two products, Psi ups and Psi^T r, are taken in Psi's dtype;
+    everything else is float64: the ratio r = i_hat / max(Psi ups, 1e-12)
+    (rounded once into Psi's dtype for the second product), the column
+    sums Psi^T 1, the measure and the update. A float32 Psi halves the
+    bytes that each iteration's two matrix-vector passes stream; the ratio
+    is then formed ``_RATIO_ROWS`` rows at a time, so the solver holds one
+    float32 vector and a small float64 block, never a second Psi.
+
     Psi is used column-major: OpenBLAS splits the transposed product
-    Psi^T r across threads far better in that layout (the same float64
-    sums in another order, about a third less time with two threads).
+    Psi^T r across threads far better in that layout (the same sums in
+    another order, about a third less time with two threads).
     ``build_psi`` returns it in that layout, so no copy is made here; a
     C-ordered Psi is copied once.
     """
     psi = np.asfortranarray(sketch.psi)
     i_hat = sketch.i_hat
-    num_dirs = psi.shape[1]
+    num_rows, num_dirs = psi.shape
     ups = np.ones(num_dirs) if upsilon0 is None else np.asarray(upsilon0, dtype=np.float64).copy()
     if ups.size != num_dirs:
         raise ShapeError("upsilon0 length must match psi columns")
-    den = np.maximum(psi.sum(axis=0) + config.sparsity_lambda, 1e-300)  # constant
+    den = np.maximum(psi.sum(axis=0, dtype=np.float64) + config.sparsity_lambda,
+                     1e-300)  # constant
+    ratio = np.empty(num_rows, dtype=psi.dtype)  # Psi ups, then r in place
+    # a float64 Psi forms r in place; a float32 one forms it in float64
+    # blocks and rounds each once into ``ratio``
+    scratch = None if psi.dtype == np.float64 else np.empty(min(num_rows, _RATIO_ROWS))
     late_start = config.iterations - max(1, config.iterations // 10)
     for it in range(config.iterations):
         if it == late_start:
             ups_late = ups.copy()
-        ratio = psi @ ups  # one [F' * L] vector per iteration, reused in place
-        np.maximum(ratio, 1e-12, out=ratio)
-        np.divide(i_hat, ratio, out=ratio)
+        np.matmul(psi, ups.astype(psi.dtype, copy=False), out=ratio)
+        if scratch is None:
+            np.maximum(ratio, 1e-12, out=ratio)
+            np.divide(i_hat, ratio, out=ratio)
+        else:
+            for r0 in range(0, num_rows, _RATIO_ROWS):
+                part = ratio[r0:r0 + _RATIO_ROWS]
+                r64 = scratch[:part.size]
+                np.copyto(r64, part)
+                np.maximum(r64, 1e-12, out=r64)
+                np.divide(i_hat[r0:r0 + _RATIO_ROWS], r64, out=r64)
+                part[...] = r64
         ups = ups * (psi.T @ ratio) / den
     late_rel_change = float(np.abs(ups - ups_late).sum() / max(ups.sum(), 1e-300))
     return SpatialMeasure(upsilon=ups, grid=grid,
@@ -474,6 +516,16 @@ def kl_sparse_objective(sketch: LevySketch, upsilon: np.ndarray,
     return float(term.sum() + sparsity_lambda * np.sum(upsilon))
 
 
+@contextlib.contextmanager
+def _timed(timings: dict, stage: str):
+    """Record the wall time of the ``with`` body in ``timings[stage]`` (ms)."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = 1e3 * (time.perf_counter() - start)
+
+
 def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
                      config: SolverConfig | None = None) -> SpatialMeasure:
     """End-to-end alpha-stable localization over the SV grid.
@@ -482,25 +534,38 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
     normalizes the steering vectors, sketches the Lévy exponents, and runs
     the multiplicative updates. The DC bin and any bin missing from the SV
     set's frequency axis never enter the sketch.
+
+    The solve runs on a float32 Psi (``build_psi`` rounds the float64
+    coherences once); the sketch, the ratio and the measure stay float64.
+    ``info["psi_dtype"]`` names that precision, and ``info["timings_ms"]``
+    holds the wall time of the stages ``alpha``, ``normalize`` (band,
+    observations and SVs), ``sketch``, ``psi`` and ``solve``.
     """
     config = config or SolverConfig()
-    alpha = estimate_alpha(spec)
+    timings = {}
+    with _timed(timings, "alpha"):
+        alpha = estimate_alpha(spec)
     if config.p_norm >= alpha.alpha:
         raise ParameterError(
             f"p = {config.p_norm} must be below the estimated alpha = {alpha.alpha:.3f}")
 
-    band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
-    retained = _unchecked(
-        spec, bins=spec.bins[:, band, :], first_bin=spec.first_bin + band.start,
-        valid_mask=None if spec.valid_mask is None else spec.valid_mask[band])
-    sub_spec = normalize_observations(retained, config.p_norm)
-    sub_svs = _unchecked(svs, values=svs.values[:, :, sv_idx], freqs_hz=svs.freqs_hz[sv_idx])
-    tilde = normalize_svs(sub_svs)
+    with _timed(timings, "normalize"):
+        band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
+        retained = _unchecked(
+            spec, bins=spec.bins[:, band, :], first_bin=spec.first_bin + band.start,
+            valid_mask=None if spec.valid_mask is None else spec.valid_mask[band])
+        sub_spec = normalize_observations(retained, config.p_norm)
+        sub_svs = _unchecked(svs, values=svs.values[:, :, sv_idx],
+                             freqs_hz=svs.freqs_hz[sv_idx])
+        tilde = normalize_svs(sub_svs)
 
-    i_hat = levy_estimator(sub_spec, tilde, alpha)
-    psi = build_psi(tilde, alpha)
-    sketch = LevySketch(i_hat=i_hat, psi=psi, alpha=alpha, num_freqs=sv_idx.size)
-    measure = multiplicative_update(sketch, config, grid=svs.grid)
+    with _timed(timings, "sketch"):
+        i_hat = levy_estimator(sub_spec, tilde, alpha)
+    with _timed(timings, "psi"):
+        psi = build_psi(tilde, alpha, dtype=np.float32)
+    with _timed(timings, "solve"):
+        sketch = LevySketch(i_hat=i_hat, psi=psi, alpha=alpha, num_freqs=sv_idx.size)
+        measure = multiplicative_update(sketch, config, grid=svs.grid)
     measure.info.update({
         "alpha": alpha.alpha,
         "beta": config.beta,
@@ -511,5 +576,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         "num_frames": spec.num_frames,
         "masked_bins": int(sub_spec.valid_mask.size - np.count_nonzero(sub_spec.valid_mask)),
         "levy_clamped": int(np.count_nonzero(i_hat >= _LEVY_CEIL)),
+        "psi_dtype": str(psi.dtype),
+        "timings_ms": timings,
     })
     return measure

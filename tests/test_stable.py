@@ -1,5 +1,6 @@
 """Tests for alpha estimation, the Lévy sketch, and the multiplicative solver."""
 
+import time
 import tracemalloc
 import warnings
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from shamans import stable
 from shamans.errors import EstimationError, ParameterError, ShapeError
+from shamans.evaluate import minmax_normalize, pick_peaks
 from shamans.signal import Spectrogram, StftParams
-from shamans.scenes import SasSourceKind, SceneSpec, synth_scene
+from shamans.scenes import SasSourceKind, SceneSpec, scene_batch, synth_scene
 from shamans.stable import (
     AlphaParam,
     LevySketch,
@@ -480,6 +482,29 @@ class TestBlockedScratch:
             lambda: multiplicative_update(sketch, SolverConfig(iterations=20)))
         assert peak < 0.05 * sketch.psi.nbytes
 
+    def test_solver_makes_no_copy_of_float32_psi(self):
+        sketch, _ = random_sketch(12, num_dirs=60, num_freqs=128, noise=0.1)
+        sketch.psi = np.asfortranarray(sketch.psi.astype(np.float32))
+        peak, _ = self.peak_bytes(
+            lambda: multiplicative_update(sketch, SolverConfig(iterations=20)))
+        # one float32 product vector and a float64 block of the ratio; a
+        # float64 copy of Psi would be twice Psi's bytes
+        assert peak < 0.05 * sketch.psi.nbytes
+
+    @pytest.mark.parametrize("num_dirs, num_freqs", [(60, 128), (360, 16)])
+    def test_float32_psi_is_the_float64_one_rounded(self, num_dirs, num_freqs):
+        rng = np.random.default_rng(num_dirs + 1)
+        shape = (num_dirs, 6, num_freqs)
+        svs = normalize_svs(SteeringVectorSet(
+            rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            DoaGrid.uniform(num_dirs, 1.7), np.arange(1, num_freqs + 1) * 62.5))
+        alpha = AlphaParam(1.37)
+        peak, psi = self.peak_bytes(lambda: build_psi(svs, alpha, dtype=np.float32))
+        assert psi.dtype == np.float32 and psi.flags.f_contiguous
+        assert np.array_equal(psi, build_psi(svs, alpha).astype(np.float32))
+        # a float64 Psi held whole would be twice the float32 one
+        assert peak < 1.5 * psi.nbytes
+
     def test_peak_memory_of_one_second_scene(self):
         _, params, svs = make_scene_setup(seed=9)
         sg, _ = synth_scene(SceneSpec(source_indices=[5, 25, 45], seed=3, snr_db=20.0),
@@ -735,6 +760,34 @@ class TestMultiplicativeUpdate:
             assert cur <= prev + 1e-9 * abs(prev) + slack
             prev = cur
 
+    def test_sketch_keeps_float32_psi(self):
+        sketch, _ = random_sketch(4)
+        kept = LevySketch(sketch.i_hat, sketch.psi.astype(np.float32), sketch.alpha,
+                          sketch.num_freqs)
+        assert kept.psi.dtype == np.float32 and kept.i_hat.dtype == np.float64
+        for other in (np.float16, np.int64):
+            widened = LevySketch(sketch.i_hat, sketch.psi.astype(other), sketch.alpha,
+                                 sketch.num_freqs)
+            assert widened.psi.dtype == np.float64
+
+    def test_float32_products_float64_update(self):
+        # the loop in Psi's dtype for the products and float64 elsewhere,
+        # one rounding of the ratio per iteration
+        sketch, _ = random_sketch(13, num_dirs=60, num_freqs=128,
+                                  support=((5, 1.0), (20, 2.0), (41, 0.5)), noise=0.1)
+        psi = np.asfortranarray(sketch.psi.astype(np.float32))
+        cfg = SolverConfig(iterations=50)
+        ups = np.ones(60)
+        den = psi.sum(axis=0, dtype=np.float64) + cfg.sparsity_lambda
+        for _ in range(cfg.iterations):
+            pv = (psi @ ups.astype(np.float32)).astype(np.float64)
+            ratio = (sketch.i_hat / np.maximum(pv, 1e-12)).astype(np.float32)
+            ups = ups * (psi.T @ ratio) / den
+        got = multiplicative_update(
+            LevySketch(sketch.i_hat, psi, sketch.alpha, sketch.num_freqs), cfg).upsilon
+        assert got.dtype == np.float64
+        assert np.array_equal(got, ups)
+
     @pytest.mark.parametrize("beta", [0.0, 2.0])
     def test_beta_other_than_kl_rejected(self, beta):
         with pytest.raises(ParameterError, match="beta must be 1"):
@@ -820,6 +873,18 @@ class TestShamansLocalize:
         assert out.info["masked_bins"] == sg.num_frames
         assert out.info["levy_clamped"] == len(grid)
 
+    def test_info_records_stage_timings_and_precision(self):
+        grid, params, svs = make_scene_setup(seed=1, grid_size=30)
+        sg, _ = synth_scene(SceneSpec(source_indices=[7], seed=2, snr_db=20.0), svs, params)
+        start = time.perf_counter()
+        out = shamans_localize(sg, svs, SolverConfig(iterations=20))
+        wall_ms = 1e3 * (time.perf_counter() - start)
+        timings = out.info["timings_ms"]
+        assert set(timings) == {"alpha", "normalize", "sketch", "psi", "solve"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings.values()) <= wall_ms
+        assert out.info["psi_dtype"] == "float32"
+
     @pytest.mark.parametrize("masked", [False, True])
     def test_matches_full_normalize_then_copy(self, masked):
         # the band view and the unvalidated sub-sets give what normalizing
@@ -845,7 +910,8 @@ class TestShamansLocalize:
         tilde = normalize_svs(SteeringVectorSet(svs.values[:, :, sv_idx], svs.grid,
                                                 svs.freqs_hz[sv_idx], svs.source_tag))
         i_hat = levy_estimator(sub, tilde, alpha)
-        sketch = LevySketch(i_hat, build_psi(tilde, alpha), alpha, spec_idx.size)
+        sketch = LevySketch(i_hat, build_psi(tilde, alpha, dtype=np.float32), alpha,
+                            spec_idx.size)
         ref = multiplicative_update(sketch, config, grid=svs.grid)
         assert np.array_equal(out.upsilon, ref.upsilon)
         assert out.info["masked_bins"] == int(np.count_nonzero(~sub.valid_mask))
@@ -884,3 +950,61 @@ class TestShamansLocalize:
         raw = run(sg)
         norm = run(normalize_observations(sg, 1.0))
         assert np.argmax(raw) == np.argmax(norm) == 31
+
+
+def solve_both_precisions(sg, svs, config):
+    """The float32 solve that shamans_localize runs and the float64 solve of
+    the same sketch."""
+    alpha = estimate_alpha(sg)
+    band, sv_idx = match_freq_band(sg.freqs_hz, svs.freqs_hz)
+    sub = normalize_observations(
+        Spectrogram(sg.bins[:, band], sg.sample_rate, sg.frame_size, sg.hop,
+                    first_bin=band.start), config.p_norm)
+    tilde = normalize_svs(SteeringVectorSet(svs.values[:, :, sv_idx], svs.grid,
+                                            svs.freqs_hz[sv_idx]))
+    i_hat = levy_estimator(sub, tilde, alpha)
+    return [multiplicative_update(LevySketch(i_hat, build_psi(tilde, alpha, dtype=dtype),
+                                             alpha, sv_idx.size), config).upsilon
+            for dtype in (np.float32, np.float64)]
+
+
+class TestFloat32Equivalence:
+    """The float32 solve picks the float64 solve's peaks, forced and
+    thresholded (the default peak settings), with every measure value within
+    1e-4 of the scene's largest."""
+
+    @staticmethod
+    def check(batch, svs, params):
+        worst = 0.0
+        for spec in batch:
+            sg, truth = synth_scene(spec, svs, params)
+            narrow, wide = solve_both_precisions(sg, svs, SolverConfig())
+            assert np.array_equal(narrow, shamans_localize(sg, svs, SolverConfig()).upsilon)
+            n = truth.indices.size
+            for thr, count in ((0.0, n), (0.3, 10)):
+                picked = [{i for i, _ in pick_peaks(minmax_normalize(u), thr, 2, count)}
+                          for u in (narrow, wide)]
+                assert picked[0] == picked[1], (spec, thr)
+            worst = max(worst, np.max(np.abs(narrow - wide)) / np.max(wide))
+        assert worst <= 1e-4
+
+    def test_criterion_09_construction(self):
+        # oracle SVs of the acceptance criterion 09 array, 5 scenes per N
+        params = StftParams()
+        svs = algebraic_svs(ArrayGeometry.random_array(6, 0.18, seed=5),
+                            DoaGrid.uniform(60, 1.7), params.freqs_hz)
+        base = SceneSpec(source_indices=[0], seed=2024, snr_db=20.0, duration_s=1.0)
+        batch = [spec for n in range(1, 7)
+                 for spec in scene_batch(base, {"n_sources": [n]}, 5, 60)]
+        self.check(batch, svs, params)
+
+    def test_360_directions_16_bins(self):
+        params = StftParams(f_max_hz=16 * 62.5)
+        svs = algebraic_svs(ArrayGeometry.random_array(6, 0.18, seed=5),
+                            DoaGrid.uniform(360, 1.7), params.freqs_hz)
+        assert svs.num_freqs == 17  # DC, then the 16 bins the sketch keeps
+        base = SceneSpec(source_indices=[0], seed=4048, snr_db=20.0, duration_s=1.0,
+                         min_sep_cells=12)
+        batch = [spec for n in range(1, 7)
+                 for spec in scene_batch(base, {"n_sources": [n]}, 1, 360)]
+        self.check(batch, svs, params)

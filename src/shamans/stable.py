@@ -40,8 +40,8 @@ _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
 # p-normalization and a sketch done in one call work in blocks of at most
 # _BLOCK_BYTES of scratch, which stay in cache
 _BLOCK_BYTES = 256 * 2**10
-# the solver forms its float64 ratio for a float32 Psi in blocks of at most
-# this many rows: 32 KB of float64, one L1 data cache
+# the solver forms its float64 ratio in blocks of at most this many rows:
+# 32 KB of float64, one L1 data cache
 _RATIO_ROWS = 4096
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
@@ -411,34 +411,27 @@ def build_psi(svs: NormalizedSVSet, alpha: AlphaParam, dtype=np.float64) -> np.n
     """Stacked |a~_l^H a~_l'|^alpha coherence blocks, [F' * L, L].
 
     Psi comes out column-major, the layout ``multiplicative_update`` uses.
-    The complex Gram blocks are formed a few bins at a time (at most
-    ``_BLOCK_BYTES`` of scratch), so the only full-size array is Psi itself.
-    A float64 Psi takes the moduli straight into the output and the power
-    in place. Any other ``dtype`` takes each block's moduli and power in
-    float64 scratch and stores them rounded: a float32 Psi is the float64
-    one rounded to nearest, bit for bit, without a float64 Psi ever being
-    held whole.
+    The complex Gram blocks are formed a few bins at a time, and each
+    block's moduli and power are taken in float64 scratch (at most
+    ``_BLOCK_BYTES`` in all) and stored into a Psi of ``dtype``, so the
+    only full-size array is Psi itself. A float32 Psi is the float64 one
+    rounded to nearest, bit for bit, without a float64 Psi ever being held
+    whole.
     """
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
     f, l, _ = a.shape
-    wide = np.dtype(dtype) == np.float64
     blocks = np.empty((l, f, l), dtype=dtype).transpose(1, 2, 0)  # [F, L, L] over column-major Psi
-    # the complex Gram, plus its float64 moduli when they are rounded
-    spans = _blocks(0, f, (16 if wide else 24) * l * l)
-    mods = None if wide else np.empty((spans[0][1], l, l))
+    spans = _blocks(0, f, 24 * l * l)  # the complex Gram and its float64 moduli
+    mods = np.empty((spans[0][1], l, l))
     for f0, f1 in spans:
         # operands are views of the SVs, so every bin's product takes the
         # matmul path (BLAS or not) that one product over all bins took
         blk = a[f0:f1]
-        out = blocks[f0:f1] if wide else mods[:f1 - f0]
+        out = mods[:f1 - f0]
         np.abs(blk.conj() @ blk.transpose(0, 2, 1), out=out)
-        if not wide:
-            out **= alpha.alpha
-            blocks[f0:f1] = out
-    psi = blocks.reshape(f * l, l)  # a view: rows f * L + l
-    if wide:
-        psi **= alpha.alpha
-    return psi
+        out **= alpha.alpha
+        blocks[f0:f1] = out
+    return blocks.reshape(f * l, l)  # a view: rows f * L + l
 
 
 def multiplicative_update(sketch: LevySketch, config: SolverConfig,
@@ -462,9 +455,9 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     everything else is float64: the ratio r = i_hat / max(Psi ups, 1e-12)
     (rounded once into Psi's dtype for the second product), the column
     sums Psi^T 1, the measure and the update. A float32 Psi halves the
-    bytes that each iteration's two matrix-vector passes stream; the ratio
-    is then formed ``_RATIO_ROWS`` rows at a time, so the solver holds one
-    float32 vector and a small float64 block, never a second Psi.
+    bytes that each iteration's two matrix-vector passes stream. The ratio
+    is formed ``_RATIO_ROWS`` rows at a time, so the solver holds one
+    vector of Psi's dtype and a small float64 block, never a second Psi.
 
     Psi is used column-major: OpenBLAS splits the transposed product
     Psi^T r across threads far better in that layout (the same sums in
@@ -481,25 +474,19 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     den = np.maximum(psi.sum(axis=0, dtype=np.float64) + config.sparsity_lambda,
                      1e-300)  # constant
     ratio = np.empty(num_rows, dtype=psi.dtype)  # Psi ups, then r in place
-    # a float64 Psi forms r in place; a float32 one forms it in float64
-    # blocks and rounds each once into ``ratio``
-    scratch = None if psi.dtype == np.float64 else np.empty(min(num_rows, _RATIO_ROWS))
+    scratch = np.empty(min(num_rows, _RATIO_ROWS))  # r, a block at a time
     late_start = config.iterations - max(1, config.iterations // 10)
     for it in range(config.iterations):
         if it == late_start:
             ups_late = ups.copy()
         np.matmul(psi, ups.astype(psi.dtype, copy=False), out=ratio)
-        if scratch is None:
-            np.maximum(ratio, 1e-12, out=ratio)
-            np.divide(i_hat, ratio, out=ratio)
-        else:
-            for r0 in range(0, num_rows, _RATIO_ROWS):
-                part = ratio[r0:r0 + _RATIO_ROWS]
-                r64 = scratch[:part.size]
-                np.copyto(r64, part)
-                np.maximum(r64, 1e-12, out=r64)
-                np.divide(i_hat[r0:r0 + _RATIO_ROWS], r64, out=r64)
-                part[...] = r64
+        for r0 in range(0, num_rows, _RATIO_ROWS):
+            part = ratio[r0:r0 + _RATIO_ROWS]
+            r64 = scratch[:part.size]
+            np.copyto(r64, part)
+            np.maximum(r64, 1e-12, out=r64)
+            np.divide(i_hat[r0:r0 + _RATIO_ROWS], r64, out=r64)
+            part[...] = r64
         ups = ups * (psi.T @ ratio) / den
     late_rel_change = float(np.abs(ups - ups_late).sum() / max(ups.sum(), 1e-300))
     return SpatialMeasure(upsilon=ups, grid=grid,

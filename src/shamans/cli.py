@@ -70,6 +70,8 @@ EXIT_INCOMPATIBLE = 4
 # numbers) or a tuple of the values the key takes; one ending in "?" also
 # takes null, which means no noise (snr_db), no reverb (t60_s), a seed
 # derived from the master seed (array.seed, field.seed), or the default.
+# A value is read in its kind's type: 768.0 for an "int" key as 768, 1 for
+# a "float" key as 1.0, and a number in a tuple as a float.
 CONFIG_KEYS = {
     "seed": (0, "int"), "sample_rate": (48000, "int"),
     "stft": {"frame_size": (768, "int"), "hop": (384, "int"), "f_max_hz": (8000.0, "float")},
@@ -104,10 +106,10 @@ DEFAULT_CONFIG = _defaults(CONFIG_KEYS)
 
 
 def _is_number(val) -> bool:
-    """Whether ``val`` is a finite JSON number (an int is always finite;
-    ``math.isfinite`` cannot take one too large for a float)."""
+    """Whether ``val`` is a JSON number that a float holds: not NaN, not
+    infinite, and no integer beyond the float range."""
     return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and (isinstance(val, int) or math.isfinite(val)))
+            and abs(val) <= sys.float_info.max)
 
 
 def _is_whole(val) -> bool:
@@ -126,13 +128,19 @@ def _list_of(test):
     return lambda val: isinstance(val, list) and all(map(test, val))
 
 
-# each leaf kind's test, and what a value failing it must be
-_KINDS = {"float": (_is_number, "a number"), "int": (_is_whole, "an integer"),
-          "str": (lambda val: isinstance(val, str), "a string"),
-          "floats": (_list_of(_is_number), "a list of numbers"),
-          "ints": (_list_of(_is_whole), "a list of integers"),
-          "strs": (_list_of(lambda val: isinstance(val, str)), "a list of strings"),
-          "positions": (_is_positions, "an [M, 3] list of numbers")}
+def _each(typ):
+    return lambda val: list(map(typ, val))
+
+
+# each leaf kind's test, what a value failing it must be, and the type a
+# value passing it is stored in (a value of a tuple kind is a string or a
+# float)
+_KINDS = {"float": (_is_number, "a number", float), "int": (_is_whole, "an integer", int),
+          "str": (lambda val: isinstance(val, str), "a string", str),
+          "floats": (_list_of(_is_number), "a list of numbers", _each(float)),
+          "ints": (_list_of(_is_whole), "a list of integers", _each(int)),
+          "strs": (_list_of(lambda val: isinstance(val, str)), "a list of strings", list),
+          "positions": (_is_positions, "an [M, 3] list of numbers", _each(_each(float)))}
 
 
 def _mismatch(val, kind) -> str | None:
@@ -152,9 +160,10 @@ def _mismatch(val, kind) -> str | None:
     return None
 
 
-def _check(doc: dict, keys: dict, source: str, prefix: str = "") -> None:
-    """Reject a key that ``keys`` does not declare, and a value that is not
-    of its key's kind."""
+def _check(doc: dict, keys: dict, source: str, prefix: str = "") -> dict:
+    """``doc`` with each value in its key's kind's type. Reject a key that
+    ``keys`` does not declare, and a value that is not of its key's kind."""
+    out = {}
     for key, val in doc.items():
         name, spec = prefix + key, keys.get(key)
         if spec is None:
@@ -164,7 +173,12 @@ def _check(doc: dict, keys: dict, source: str, prefix: str = "") -> None:
             raise FormatError(f"{source}: key {name!r} must be {problem}, "
                               f"got {json.dumps(val)}")
         if isinstance(spec, dict):
-            _check(val, spec, source, name + ".")
+            out[key] = _check(val, spec, source, name + ".")
+        elif val is None or isinstance(spec[1], tuple):
+            out[key] = float(val) if _is_number(val) else val
+        else:
+            out[key] = _KINDS[spec[1].rstrip("?")][2](val)
+    return out
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -195,12 +209,10 @@ def _load(path: str | None, keys: dict, overrides: dict | None = None) -> dict:
             raise FormatError(f"{path}: not JSON: {exc}") from exc
         if not isinstance(given, dict):
             raise FormatError(f"{path}: must be a JSON object, not {type(given).__name__}")
-        _check(given, keys, path)
-        doc = _deep_merge(doc, given)
+        doc = _deep_merge(doc, _check(given, keys, path))
     if overrides:
-        given = _given(overrides)
-        _check(given, keys, "command line")  # a float flag takes "nan" and "inf"
-        doc = _deep_merge(doc, given)
+        # a float flag takes "nan" and "inf"
+        doc = _deep_merge(doc, _check(_given(overrides), keys, "command line"))
     # the keys that one value of another key makes necessary
     prefix = "scene." if "scene" in doc else ""
     for section, name, kind, needed in (
@@ -225,26 +237,20 @@ def load_scene(path) -> scenes.SceneSpec:
 
 
 def build_stft_params(config: dict) -> StftParams:
-    s = config["stft"]
-    return StftParams(frame_size=int(s["frame_size"]), hop=int(s["hop"]),
-                      f_max_hz=float(s["f_max_hz"]),
-                      sample_rate=int(config["sample_rate"]))
+    return StftParams(sample_rate=config["sample_rate"], **config["stft"])
 
 
 def build_grid(config: dict) -> DoaGrid:
-    g = config["grid"]
-    return DoaGrid.uniform(count=int(g["count"]), radius_m=float(g["radius_m"]),
-                           elevation_deg=float(g["elevation_deg"]))
+    return DoaGrid.uniform(**config["grid"])
 
 
 def build_array(config: dict) -> ArrayGeometry:
     a = config["array"]
     if a["kind"] == "positions":
-        return ArrayGeometry(np.asarray(a["mic_positions_m"], dtype=float))
+        return ArrayGeometry(np.asarray(a["mic_positions_m"]))
     seed = derive_seed(config["seed"], "array") if a["seed"] is None else a["seed"]
-    return ArrayGeometry.random_array(num_mics=int(a["num_mics"]),
-                                      aperture_m=float(a["aperture_m"]),
-                                      seed=int(seed))
+    return ArrayGeometry.random_array(num_mics=a["num_mics"], aperture_m=a["aperture_m"],
+                                      seed=seed)
 
 
 def build_field(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
@@ -252,8 +258,8 @@ def build_field(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
     f = config["field"]
     seed = derive_seed(config["seed"], "field") if f["seed"] is None else f["seed"]
     return synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
-                                  seed=int(seed), degree=int(f["degree"]),
-                                  perturb_strength=float(f["perturb_strength"]))
+                                  seed=seed, degree=f["degree"],
+                                  perturb_strength=f["perturb_strength"])
 
 
 def fit_interpolator(measured: SteeringVectorSet, method: str, config: dict):
@@ -261,7 +267,7 @@ def fit_interpolator(measured: SteeringVectorSet, method: str, config: dict):
     ``measured``, drawn from the master seed's "svsample" substream, with
     the config's ``fit`` settings."""
     fit_cfg = config["fit"]
-    n_sv = int(fit_cfg["n_sv"])
+    n_sv = fit_cfg["n_sv"]
     if n_sv < 1:
         raise ParameterError(f"fit.n_sv must be at least 1, got {n_sv}")
     if n_sv > measured.num_dirs:
@@ -275,13 +281,11 @@ def fit_interpolator(measured: SteeringVectorSet, method: str, config: dict):
         degree = fit_cfg["max_degree"]
         if degree is None:
             degree = ShBasisConfig.default_degree(n_sv)
-        return fit_sh(samples, ShBasisConfig(max_degree=int(degree),
-                                             ridge_lambda=float(fit_cfg["ridge_lambda"])))
+        return fit_sh(samples, ShBasisConfig(max_degree=degree,
+                                             ridge_lambda=fit_cfg["ridge_lambda"]))
     return fit_coordnet(samples, CoordNetConfig(
-        num_features=int(fit_cfg["num_features"]),
-        feature_scale=float(fit_cfg["feature_scale"]),
-        ridge_lambda=float(fit_cfg["ridge_lambda"]),
-        seed=derive_seed(config["seed"], "nslite")))
+        num_features=fit_cfg["num_features"], feature_scale=fit_cfg["feature_scale"],
+        ridge_lambda=fit_cfg["ridge_lambda"], seed=derive_seed(config["seed"], "nslite")))
 
 
 def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
@@ -319,12 +323,7 @@ def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
 def run_method(method: str, spectrogram, svs, config: dict):
     """Dispatch a localizer; returns (normalized values, method tag, info)."""
     if method == "shamans":
-        solver = config["solver"]
-        measure = shamans_localize(spectrogram, svs, SolverConfig(
-            beta=float(solver["beta"]),
-            sparsity_lambda=float(solver["sparsity_lambda"]),
-            iterations=int(solver["iterations"]),
-            p_norm=float(solver["p_norm"])))
+        measure = shamans_localize(spectrogram, svs, SolverConfig(**config["solver"]))
         return evaluate.minmax_normalize(measure.upsilon), "shamans", measure.info
     if method.startswith("music-"):
         try:
@@ -358,12 +357,11 @@ def cmd_fit(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    n_sv = int(fit_cfg["n_sv"])
-    save_fit_artifact(model, out, {"n_sv": n_sv, "fit_method": fit_cfg["method"],
+    save_fit_artifact(model, out, {"n_sv": fit_cfg["n_sv"], "fit_method": fit_cfg["method"],
                                    "master_seed": config["seed"],
                                    "sv_err_median": float(np.median(sv_err)),
                                    "sv_err_max": float(sv_err.max())})
-    print(f"wrote {out} ({fit_cfg['method']}, {n_sv} measurements)")
+    print(f"wrote {out} ({fit_cfg['method']}, {fit_cfg['n_sv']} measurements)")
     return EXIT_OK
 
 
@@ -393,12 +391,10 @@ def cmd_simulate(args) -> int:
 
 def _localize_once(config, spectrogram, svs, truth, method):
     values, tag, info = run_method(method, spectrogram, svs, config)
-    pk = config["peaks"]
-    peaks = evaluate.pick_peaks(values, float(pk["threshold"]),
-                                int(pk["min_sep_cells"]), int(pk["max_peaks"]))
+    peaks = evaluate.pick_peaks(values, **config["peaks"])
     result = {"values": values, "tag": tag, "info": info, "peaks": peaks}
     if truth is not None and truth.indices.size > 0:
-        forced = evaluate.pick_peaks(values, 0.0, int(pk["min_sep_cells"]),
+        forced = evaluate.pick_peaks(values, 0.0, config["peaks"]["min_sep_cells"],
                                      truth.indices.size)
         grid_az = svs.grid.azimuths_deg
         est_az = [grid_az[i] for i, _ in forced]

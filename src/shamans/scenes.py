@@ -282,13 +282,10 @@ def scene_from_dict(doc: dict) -> SceneSpec:
     if kind_doc["kind"] == "wav":
         kind = WavSourceKind(paths=list(kind_doc["paths"]))
     elif kind_doc["kind"] == "sas":
-        kind = SasSourceKind(alpha=float(kind_doc["alpha"]), scale=float(kind_doc["scale"]))
+        kind = SasSourceKind(alpha=kind_doc["alpha"], scale=kind_doc["scale"])
     else:
         raise SceneSpecError(f"unknown source kind {kind_doc['kind']!r}")
-    return SceneSpec(source_indices=doc["source_indices"], source_kind=kind,
-                     snr_db=doc["snr_db"], t60_s=doc["t60_s"], seed=int(doc.get("seed", 0)),
-                     duration_s=float(doc["duration_s"]),
-                     min_sep_cells=int(doc["min_sep_cells"]))
+    return SceneSpec(**{**doc, "source_kind": kind})
 
 
 def save_scene(spec: SceneSpec, path) -> None:

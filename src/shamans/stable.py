@@ -14,7 +14,7 @@ import copy
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -495,8 +495,13 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
 
 def kl_sparse_objective(sketch: LevySketch, upsilon: np.ndarray,
                         sparsity_lambda: float) -> float:
-    """Generalized KL divergence D(i_hat || Psi ups) plus the L1 penalty."""
-    pv = np.maximum(sketch.psi @ upsilon, 1e-12)
+    """Generalized KL divergence D(i_hat || Psi ups) plus the L1 penalty.
+
+    Psi ups is taken in Psi's dtype, so a float32 Psi is never copied to
+    float64; the floor, the log terms and the sums are float64.
+    """
+    psi = sketch.psi
+    pv = np.maximum(psi @ np.asarray(upsilon, dtype=psi.dtype), 1e-12, dtype=np.float64)
     i = sketch.i_hat
     with np.errstate(divide="ignore", invalid="ignore"):
         term = np.where(i > 0, i * np.log(np.where(i > 0, i, 1.0) / pv) - i + pv, pv)
@@ -555,10 +560,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         measure = multiplicative_update(sketch, config, grid=svs.grid)
     measure.info.update({
         "alpha": alpha.alpha,
-        "beta": config.beta,
-        "sparsity_lambda": config.sparsity_lambda,
-        "iterations": config.iterations,
-        "p_norm": config.p_norm,
+        **asdict(config),
         "num_freqs": int(sv_idx.size),
         "num_frames": spec.num_frames,
         "masked_bins": int(sub_spec.valid_mask.size - np.count_nonzero(sub_spec.valid_mask)),

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shamans import cli
+from shamans import cli, scenes
 from shamans.cli import DEFAULT_CONFIG, load_config, main
 from shamans.interp import interp_error_report, interp_svs, load_fit_artifact
 from shamans.steering import load_svset
@@ -82,6 +82,55 @@ def with_n_sv(small_config, tmp_path, n_sv):
     path = tmp_path / "n_sv.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+# one value of each number kind, in the other JSON number type
+RESPELT = {"int": 3.0, "float": 2, "ints": [3.0], "positions": [[0, 0, 2], [2, 0, 0]], (1,): 1}
+# the type the values of each number kind are read in
+KIND_TYPES = {"int": int, "float": float, "ints": int, "positions": float, (1,): float}
+
+
+def kind_name(kind):
+    return kind.rstrip("?") if isinstance(kind, str) else kind
+
+
+def flat(val):
+    return [x for v in val for x in flat(v)] if isinstance(val, list) else [val]
+
+
+def every_number_respelt(keys):
+    """A document that gives every number key of ``keys`` a value of
+    ``RESPELT``."""
+    doc = {}
+    for key, spec in keys.items():
+        if isinstance(spec, dict):
+            doc[key] = every_number_respelt(spec)
+        elif kind_name(spec[1]) in RESPELT:
+            doc[key] = RESPELT[kind_name(spec[1])]
+    return doc
+
+
+def assert_kind_types(doc, keys):
+    for key, val in doc.items():
+        spec = keys[key]
+        if isinstance(spec, dict):
+            assert_kind_types(val, spec)
+        elif val is not None and kind_name(spec[1]) in KIND_TYPES:
+            want = KIND_TYPES[kind_name(spec[1])]
+            assert all(type(x) is want for x in flat(val)), (key, val)
+
+
+def respell(val):
+    """``val`` with each integral number in the other JSON number type: an
+    integer as N.0, an integral float as N."""
+    if isinstance(val, dict):
+        return {key: respell(v) for key, v in val.items()}
+    if isinstance(val, list):
+        return list(map(respell, val))
+    if isinstance(val, bool) or not isinstance(val, (int, float)) \
+            or not float(val).is_integer():
+        return val
+    return float(val) if isinstance(val, int) else int(val)
 
 
 class TestFit:
@@ -237,6 +286,38 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"{path}:" in err and f"{key!r} must be {kind}" in err
 
+    def test_values_take_their_kinds_type(self, tmp_path):
+        # before: 768.0 for an integer key stayed a float, 1 for a float key an int
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(every_number_respelt(cli.CONFIG_KEYS)))
+        assert_kind_types(load_config(str(path)), cli.CONFIG_KEYS)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(every_number_respelt(cli.SCENE_KEYS)))
+        doc = scenes.scene_to_dict(cli.load_scene(str(path)))
+        assert_kind_types(doc, cli.SCENE_KEYS)
+        assert doc["seed"] == 3 and doc["snr_db"] == 2.0
+
+    def test_number_spelling_leaves_the_outputs(self, small_config, tmp_path):
+        # every integer key written as N.0 and every integral float key as
+        # N: the same bytes, and spectrum.json still records "beta": 1.0
+        other = tmp_path / "respelled.json"
+        other.write_text(json.dumps(respell(json.loads(small_config.read_text()))))
+        assert '"beta": 1,' in other.read_text()
+        outs = []
+        for config in (small_config, other):
+            out = tmp_path / config.stem
+            assert main(["localize", "--config", str(config), "--out", str(out / "loc")]) == 0
+            assert main(["sweep", "--config", str(config), "--count", "1",
+                         "--methods", "shamans,music-1", "--out", str(out / "sweep")]) == 0
+            info = json.loads((out / "loc" / "spectrum.json").read_text())
+            del info["timings_ms"]
+            outs.append([(out / "loc" / "spectrum.csv").read_bytes(),
+                         (out / "loc" / "result.json").read_bytes(),
+                         json.dumps(info, sort_keys=True, indent=1),
+                         (out / "sweep" / "detail.csv").read_bytes()])
+        assert outs[0] == outs[1]
+        assert '"beta": 1.0,' in outs[1][2]
+
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"seed": 3.0, "stft": {"hop": 384.0},
@@ -360,6 +441,17 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"{path}: key {key!r} must be a number" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["seed", "f_max_hz"])
+    def test_number_beyond_the_float_range_exits_2(self, tmp_path, capsys, key):
+        # before: an OverflowError traceback (rc 1)
+        doc = {"seed": 10 ** 400} if key == "seed" else {"stft": {key: 10 ** 400}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["localize", "--config", str(path), "--sv-model", "alg",
+                     "--method", "music-1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "must be a number" in err and "Traceback" not in err
 
     def test_non_finite_flag_exits_2(self, measured_svset, tmp_path, capsys):
         assert main(["fit", "--measurements", str(measured_svset), "--ridge-lambda", "nan",

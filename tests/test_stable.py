@@ -491,6 +491,16 @@ class TestBlockedScratch:
         # float64 copy of Psi would be twice Psi's bytes
         assert peak < 0.05 * sketch.psi.nbytes
 
+    def test_objective_makes_no_copy_of_float32_psi(self):
+        sketch, _ = random_sketch(12, num_dirs=60, num_freqs=128, noise=0.1)
+        ups = np.random.default_rng(3).uniform(0.0, 2.0, 60)
+        want = kl_sparse_objective(sketch, ups, 1e-3)
+        sketch.psi = np.asfortranarray(sketch.psi.astype(np.float32))
+        peak, value = self.peak_bytes(lambda: kl_sparse_objective(sketch, ups, 1e-3))
+        # before: Psi was cast to float64 for Psi ups, twice Psi's bytes
+        assert peak < 0.5 * sketch.psi.nbytes
+        assert value == pytest.approx(want, rel=1e-6)
+
     @pytest.mark.parametrize("num_dirs, num_freqs", [(60, 128), (360, 16)])
     def test_float32_psi_is_the_float64_one_rounded(self, num_dirs, num_freqs):
         rng = np.random.default_rng(num_dirs + 1)

@@ -47,6 +47,10 @@ def pick_peaks(spectrum, threshold: float, min_sep_cells: int = 2,
 
     Returns a list of (grid index, value) sorted by descending value.
     """
+    if max_peaks < 1:
+        raise ParameterError(f"max_peaks must be at least 1, got {max_peaks}")
+    if min_sep_cells < 0:
+        raise ParameterError(f"min_sep_cells must be nonnegative, got {min_sep_cells}")
     spectrum = np.asarray(spectrum, dtype=np.float64)
     n = spectrum.size
     if n < 2:

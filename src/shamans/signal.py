@@ -144,12 +144,25 @@ def band_bin_count(sample_rate: int, frame_size: int, f_max_hz: float) -> int:
 
 @dataclass
 class StftParams:
-    """Analysis settings shared by the simulator and the CLI."""
+    """Analysis settings shared by the simulator, the CLI and ``stft``,
+    which checks its arguments by building one."""
 
     frame_size: int = 768
     hop: int = 384
     f_max_hz: float = 8000.0
     sample_rate: int = 48000
+
+    def __post_init__(self):
+        if self.sample_rate <= 0:
+            raise ParameterError("sample_rate must be positive")
+        if self.frame_size % 2 != 0 or self.frame_size <= 0:
+            raise ParameterError("frame_size must be even and positive")
+        if self.hop <= 0 or self.hop > self.frame_size:
+            raise ParameterError("hop must satisfy 0 < hop <= frame_size")
+        if self.f_max_hz <= 0:
+            raise ParameterError("f_max_hz must be positive")
+        if self.f_max_hz > self.sample_rate / 2:
+            raise ParameterError("f_max_hz exceeds the Nyquist frequency")
 
     @property
     def freqs_hz(self) -> np.ndarray:
@@ -263,12 +276,7 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
     A long signal is transformed in chunks of frames (see ``_map_chunks``),
     each writing its kept bins into the [M, F, T] output.
     """
-    if frame_size % 2 != 0 or frame_size <= 0:
-        raise ParameterError("frame_size must be even and positive")
-    if hop <= 0 or hop > frame_size:
-        raise ParameterError("hop must satisfy 0 < hop <= frame_size")
-    if f_max_hz > audio.sample_rate / 2:
-        raise ParameterError("f_max_hz exceeds the Nyquist frequency")
+    StftParams(frame_size, hop, f_max_hz, audio.sample_rate)  # checks the settings
     if audio.num_samples < frame_size:
         raise ParameterError("signal shorter than one analysis frame")
 

@@ -40,9 +40,6 @@ _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
 # p-normalization and a sketch done in one call work in blocks of at most
 # _BLOCK_BYTES of scratch, which stay in cache
 _BLOCK_BYTES = 256 * 2**10
-# the solver forms its float64 ratio in blocks of at most this many rows:
-# 32 KB of float64, one L1 data cache
-_RATIO_ROWS = 4096
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
 _MAG_FLOOR = 1e-300
@@ -88,7 +85,8 @@ class LevySketch:
     Row f * L + l of both arrays refers to direction l probed at retained
     frequency bin f (direction index moves fastest). ``i_hat`` is float64;
     a float32 ``psi`` is kept as given (``multiplicative_update`` then takes
-    its products in float32), and any other ``psi`` becomes float64.
+    its products and ratio in float32), and any other ``psi`` becomes
+    float64.
     """
 
     i_hat: np.ndarray  # [F' * L]
@@ -277,11 +275,7 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
 
     # the chunk edges are those of a [D', K] phase block per sample
     parts = _map_chunks(cf_sums, num, 16 * y.shape[0] * _ECF_THETAS.size, _CHUNK_BYTES)
-    cos_sum = np.zeros((y.shape[0], _ECF_THETAS.size))
-    sin_sum = np.zeros_like(cos_sum)
-    for c, s in parts:  # in chunk order, so the sums do not depend on threads
-        cos_sum += c
-        sin_sum += s
+    cos_sum, sin_sum = sum(parts)  # in chunk order, so the sums do not depend on threads
     phi = np.hypot(cos_sum, sin_sum) / num  # [D', K]
 
     log_thetas = np.log(_ECF_THETAS)
@@ -393,11 +387,7 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
         return sums
 
     parts = _map_chunks(chunk_sums, num_frames, 16 * num_freqs * num_dirs, _CHUNK_BYTES)
-    cos_sum = np.zeros((num_freqs, num_dirs))
-    sin_sum = np.zeros_like(cos_sum)
-    for c, s in parts:  # in chunk order, so the sums do not depend on threads
-        cos_sum += c
-        sin_sum += s
+    cos_sum, sin_sum = sum(parts)  # in chunk order, so the sums do not depend on threads
     counts = num_frames if mask is None else np.maximum(mask.sum(axis=1), 1)[:, None]
     mag = np.hypot(cos_sum, sin_sum) / counts  # [F, L]
     if np.any(mag < _MAG_FLOOR):
@@ -451,13 +441,12 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     with k = iterations - max(1, iterations // 10): how far the last tenth
     of the iterations still moved the measure.
 
-    The two products, Psi ups and Psi^T r, are taken in Psi's dtype;
-    everything else is float64: the ratio r = i_hat / max(Psi ups, 1e-12)
-    (rounded once into Psi's dtype for the second product), the column
-    sums Psi^T 1, the measure and the update. A float32 Psi halves the
-    bytes that each iteration's two matrix-vector passes stream. The ratio
-    is formed ``_RATIO_ROWS`` rows at a time, so the solver holds one
-    vector of Psi's dtype and a small float64 block, never a second Psi.
+    The two products, Psi ups and Psi^T r, and the ratio
+    r = i_hat / max(Psi ups, 1e-12) between them run in Psi's dtype, in
+    one vector written in place; the column sums Psi^T 1, the measure and
+    the update are float64. A float32 Psi halves the bytes that each
+    iteration's two matrix-vector passes stream, and the solver holds one
+    vector of Psi's dtype (and i_hat rounded to it), never a second Psi.
 
     Psi is used column-major: OpenBLAS splits the transposed product
     Psi^T r across threads far better in that layout (the same sums in
@@ -466,27 +455,22 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     C-ordered Psi is copied once.
     """
     psi = np.asfortranarray(sketch.psi)
-    i_hat = sketch.i_hat
     num_rows, num_dirs = psi.shape
     ups = np.ones(num_dirs) if upsilon0 is None else np.asarray(upsilon0, dtype=np.float64).copy()
     if ups.size != num_dirs:
         raise ShapeError("upsilon0 length must match psi columns")
     den = np.maximum(psi.sum(axis=0, dtype=np.float64) + config.sparsity_lambda,
                      1e-300)  # constant
+    # after the column sums, whose float64 reduction buffers a block of Psi
+    i_hat = sketch.i_hat.astype(psi.dtype, copy=False)
     ratio = np.empty(num_rows, dtype=psi.dtype)  # Psi ups, then r in place
-    scratch = np.empty(min(num_rows, _RATIO_ROWS))  # r, a block at a time
     late_start = config.iterations - max(1, config.iterations // 10)
     for it in range(config.iterations):
         if it == late_start:
             ups_late = ups.copy()
         np.matmul(psi, ups.astype(psi.dtype, copy=False), out=ratio)
-        for r0 in range(0, num_rows, _RATIO_ROWS):
-            part = ratio[r0:r0 + _RATIO_ROWS]
-            r64 = scratch[:part.size]
-            np.copyto(r64, part)
-            np.maximum(r64, 1e-12, out=r64)
-            np.divide(i_hat[r0:r0 + _RATIO_ROWS], r64, out=r64)
-            part[...] = r64
+        np.maximum(ratio, 1e-12, out=ratio)
+        np.divide(i_hat, ratio, out=ratio)
         ups = ups * (psi.T @ ratio) / den
     late_rel_change = float(np.abs(ups - ups_late).sum() / max(ups.sum(), 1e-300))
     return SpatialMeasure(upsilon=ups, grid=grid,
@@ -528,7 +512,8 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
     set's frequency axis never enter the sketch.
 
     The solve runs on a float32 Psi (``build_psi`` rounds the float64
-    coherences once); the sketch, the ratio and the measure stay float64.
+    coherences once), so its products and ratio are float32; the sketch
+    and the measure stay float64.
     ``info["psi_dtype"]`` names that precision, and ``info["timings_ms"]``
     holds the wall time of the stages ``alpha``, ``normalize`` (band,
     observations and SVs), ``sketch``, ``psi`` and ``solve``.

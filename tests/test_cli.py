@@ -286,6 +286,39 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"{path}:" in err and f"{key!r} must be {kind}" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"stft": {"hop": 0}}, "hop must satisfy 0 < hop <= frame_size"),
+        ({"stft": {"hop": 1000}}, "hop must satisfy 0 < hop <= frame_size"),
+        ({"stft": {"frame_size": 0}}, "frame_size must be even and positive"),
+        ({"stft": {"frame_size": 767}}, "frame_size must be even and positive"),
+        ({"sample_rate": 0}, "sample_rate must be positive"),
+        ({"stft": {"f_max_hz": -5}}, "f_max_hz must be positive"),
+        ({"peaks": {"max_peaks": 0}}, "max_peaks must be at least 1, got 0"),
+        ({"peaks": {"min_sep_cells": -1}}, "min_sep_cells must be nonnegative, got -1"),
+    ])
+    def test_out_of_range_stft_or_peaks_exits_4(self, tmp_path, capsys, doc, message):
+        # before: a ZeroDivisionError or ValueError traceback (rc 1), or a
+        # run with settings stft rejects for a WAV or an empty peak list (rc 0)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["localize", "--config", str(path), "--sv-model", "alg",
+                   "--method", "music-1", "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+    def test_out_of_range_peaks_become_sweep_rows(self, small_config, tmp_path, capsys):
+        # before: ok rows with no peaks picked
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**json.loads(small_config.read_text()),
+                                    "peaks": {"max_peaks": 0}}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(path), "--count", "1",
+                     "--methods", "music-1", "--out", str(out)]) == 0
+        status = [r["status"] for r in read_rows(out / "detail.csv")]
+        assert status == ["error: max_peaks must be at least 1, got 0"]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_values_take_their_kinds_type(self, tmp_path):
         # before: 768.0 for an integer key stayed a float, 1 for a float key an int
         path = tmp_path / "config.json"

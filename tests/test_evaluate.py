@@ -86,6 +86,17 @@ class TestPickPeaks:
             got = [i for i, _ in pick_peaks(spectrum, threshold, min_sep, max_peaks)]
             assert got == brute_force_peaks(spectrum, threshold, min_sep, max_peaks)
 
+    @pytest.mark.parametrize("min_sep, max_peaks, message", [
+        (2, 0, "max_peaks must be at least 1, got 0"),
+        (2, -1, "max_peaks must be at least 1, got -1"),
+        (-1, 10, "min_sep_cells must be nonnegative, got -1"),
+    ])
+    def test_out_of_range_settings_rejected(self, min_sep, max_peaks, message):
+        # also on a spectrum too short to have neighbours
+        for spectrum in (np.array([0.1, 0.9, 0.2]), np.ones(1)):
+            with pytest.raises(ParameterError, match=message):
+                pick_peaks(spectrum, 0.5, min_sep, max_peaks)
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=4, max_size=30),
            st.floats(0, 1), st.floats(0, 1))

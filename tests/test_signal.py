@@ -13,6 +13,7 @@ from shamans.errors import FormatError, ParameterError, TruncationError
 from shamans.signal import (
     AudioBuffer,
     Spectrogram,
+    StftParams,
     _map_chunks,
     hann_periodic,
     read_wav,
@@ -252,6 +253,27 @@ class TestStft:
             stft(buf, 768, 0, 8000.0)
         with pytest.raises(ParameterError):
             stft(buf, 768, 384, 30000.0)  # beyond Nyquist
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"sample_rate": 0}, "sample_rate must be positive"),
+        ({"sample_rate": -48000}, "sample_rate must be positive"),
+        ({"frame_size": 0}, "frame_size must be even and positive"),
+        ({"frame_size": -768}, "frame_size must be even and positive"),
+        ({"frame_size": 767}, "frame_size must be even and positive"),
+        ({"hop": 0}, "hop must satisfy"),
+        ({"hop": -1}, "hop must satisfy"),
+        ({"hop": 769}, "hop must satisfy"),
+        ({"f_max_hz": 0.0}, "f_max_hz must be positive"),
+        ({"f_max_hz": -5.0}, "f_max_hz must be positive"),
+        ({"f_max_hz": 24000.5}, "f_max_hz exceeds the Nyquist frequency"),
+    ])
+    def test_params_reject_out_of_range(self, changes, message):
+        with pytest.raises(ParameterError, match=message):
+            StftParams(**changes)
+
+    def test_params_accept_their_edges(self):
+        params = StftParams(frame_size=2, hop=2, f_max_hz=24000.0, sample_rate=48000)
+        assert params.freqs_hz.tolist() == [0.0, 24000.0]
 
     def test_subband_freqs(self):
         sg = Spectrogram(bins=np.ones((1, 4, 3), dtype=complex), sample_rate=48000,

@@ -487,8 +487,8 @@ class TestBlockedScratch:
         sketch.psi = np.asfortranarray(sketch.psi.astype(np.float32))
         peak, _ = self.peak_bytes(
             lambda: multiplicative_update(sketch, SolverConfig(iterations=20)))
-        # one float32 product vector and a float64 block of the ratio; a
-        # float64 copy of Psi would be twice Psi's bytes
+        # one float32 vector for the product and the ratio, and i_hat
+        # rounded to float32; a float64 copy of Psi would be twice Psi's bytes
         assert peak < 0.05 * sketch.psi.nbytes
 
     def test_objective_makes_no_copy_of_float32_psi(self):
@@ -780,18 +780,21 @@ class TestMultiplicativeUpdate:
                                  sketch.num_freqs)
             assert widened.psi.dtype == np.float64
 
-    def test_float32_products_float64_update(self):
-        # the loop in Psi's dtype for the products and float64 elsewhere,
-        # one rounding of the ratio per iteration
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_products_and_ratio_in_psi_dtype(self, dtype):
+        # the products, the floor and the ratio in Psi's dtype, the column
+        # sums and the update in float64
         sketch, _ = random_sketch(13, num_dirs=60, num_freqs=128,
                                   support=((5, 1.0), (20, 2.0), (41, 0.5)), noise=0.1)
-        psi = np.asfortranarray(sketch.psi.astype(np.float32))
+        psi = np.asfortranarray(sketch.psi.astype(dtype))
+        i_hat = sketch.i_hat.astype(dtype)
         cfg = SolverConfig(iterations=50)
         ups = np.ones(60)
         den = psi.sum(axis=0, dtype=np.float64) + cfg.sparsity_lambda
         for _ in range(cfg.iterations):
-            pv = (psi @ ups.astype(np.float32)).astype(np.float64)
-            ratio = (sketch.i_hat / np.maximum(pv, 1e-12)).astype(np.float32)
+            pv = np.maximum(psi @ ups.astype(dtype), dtype(1e-12))
+            ratio = i_hat / pv
+            assert ratio.dtype == dtype
             ups = ups * (psi.T @ ratio) / den
         got = multiplicative_update(
             LevySketch(sketch.i_hat, psi, sketch.alpha, sketch.num_freqs), cfg).upsilon

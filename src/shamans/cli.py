@@ -450,7 +450,7 @@ def _fault_status(prefix: str, exc: Exception) -> str:
     return f"{prefix}: {type(exc).__name__}: {exc}"
 
 
-def _sweep_value(axis: str | None, text: str) -> float:
+def _sweep_value(axis: str, text: str) -> float:
     """One ``--values`` entry: a finite number, and for n_sources a
     nonnegative whole one."""
     try:
@@ -474,7 +474,9 @@ def cmd_sweep(args) -> int:
 
     base = scenes.scene_from_dict({**config["scene"], "seed": config["seed"]})
     axis = args.axis
-    values = [_sweep_value(axis, v) for v in args.values.split(",")] if args.values else [None]
+    if bool(axis) != bool(args.values):
+        raise FormatError("sweep: --axis and --values go together; give both or neither")
+    values = [_sweep_value(axis, v) for v in args.values.split(",")] if axis else [None]
     sweep = {} if axis is None else {axis: values}
     batch = scene_batch(base, sweep, args.count, len(grid))
 

@@ -20,8 +20,8 @@ from .errors import FormatError, ParameterError, TruncationError
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
-# bytes of scratch per streamed pass over a long input (the STFT, the Lévy
-# sketch, the alpha estimate, the p-normalization): within it a pass runs
+# bytes of scratch per streamed pass over a long input (the STFT and the
+# Lévy sketch, the two passes that threads speed up): within it a pass runs
 # as one inline call, beyond it in chunks of a quarter of it (16 MB was
 # near the fastest size)
 _CHUNK_BYTES = 16 * 2**20

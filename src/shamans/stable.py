@@ -35,10 +35,13 @@ _ECF_THETAS = np.array([0.1, 0.5, 1.0, 2.0])
 _NUM_PROJECTIONS = 8
 _PROJECTION_SEED = 0x5EED
 _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
-# the sketch and the alpha estimate read _CHUNK_BYTES (from .signal) at
-# call time as the bound on the phase scratch they hold at once; Psi, the
-# p-normalization and a sketch done in one call work in blocks of at most
-# _BLOCK_BYTES of scratch, which stay in cache
+# the alpha estimate reads every s-th valid TF sample, s chosen so that at
+# most this many are read: a 2-s scene is read whole
+_ALPHA_SAMPLES = 2**15
+# the sketch reads _CHUNK_BYTES (from .signal) at call time as the bound on
+# the phase scratch it holds at once; Psi, the p-normalization and a sketch
+# done in one call work in blocks of at most _BLOCK_BYTES of scratch, which
+# stay in cache
 _BLOCK_BYTES = 256 * 2**10
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
@@ -203,19 +206,6 @@ def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
     return u.sum(axis=-1) - count, np.einsum("...t,...t->...", u, t)
 
 
-def _abs_median(y: np.ndarray) -> np.ndarray:
-    """Row medians of |y|, equal to ``np.median(np.abs(y), axis=1)``.
-
-    The mean of the middle one or two order statistics, as np.median takes
-    it, but without its extra partition that looks for NaN: ``y`` is finite.
-    """
-    mags = np.abs(y)
-    num = mags.shape[1]
-    kth = [num // 2] if num % 2 else [num // 2 - 1, num // 2]
-    mags.partition(kth, axis=1)
-    return mags[:, kth].mean(axis=1)
-
-
 def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     """Characteristic exponent from log-log characteristic-function slopes.
 
@@ -226,39 +216,36 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     |phi|, e.g. a constant signal) carries no tail information; if all
     projections degenerate the Gaussian edge 2.0 is returned.
 
-    The projections and all projection-theta pairs of the characteristic
-    function are streamed over the samples in bounded chunks (see
-    ``_map_chunks``), with cos and sin of each phase taken from one
-    half-angle tangent; within a chunk the CF sums are taken one projection
-    at a time.
+    At most ``_ALPHA_SAMPLES`` of the n valid TF samples are read: every
+    s-th one, s = ceil(n / _ALPHA_SAMPLES), in bin-major (flattened
+    [F, T]) order, so an input of up to 2^15 samples (a 2-s scene) is read
+    whole and the cost does not grow with the audio length. The CF sums
+    are taken one projection at a time, with cos and sin of each phase
+    from one half-angle tangent. Only an input whose every projection has
+    a zero median is read in full, to tell an all-zero input (an error)
+    from one that is zero on the strided samples alone.
     """
     flat = spec.bins.reshape(spec.num_channels, -1)
-    if spec.valid_mask is not None:
-        flat = flat[:, spec.valid_mask.reshape(-1)]
-    if flat.shape[1] < 100:
+    valid = None if spec.valid_mask is None else np.flatnonzero(spec.valid_mask)
+    total = flat.shape[1] if valid is None else valid.size
+    if total < 100:
         raise EstimationError("need at least 100 TF samples to estimate alpha")
+    stride = -(-total // _ALPHA_SAMPLES)
+    x = flat[:, ::stride] if valid is None else flat[:, valid[::stride]]
 
     rng = np.random.default_rng(_PROJECTION_SEED)
     proj = rng.standard_normal((_NUM_PROJECTIONS, spec.num_channels)) \
         + 1j * rng.standard_normal((_NUM_PROJECTIONS, spec.num_channels))
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
-    proj_h = proj.conj()
-    num = flat.shape[1]
-
-    def project(s0, s1):  # Re(proj^H x) for samples s0..s1
-        part = (proj_h @ flat[:, s0:s1]).real
-        # a chunk keeps only its real part, never a whole complex product;
-        # one inline call returns its view, as the unchunked code did
-        return part if s1 - s0 == num else part.copy()
-
-    parts = _map_chunks(project, num, 16 * _NUM_PROJECTIONS, _CHUNK_BYTES)
-    y = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)  # [D, n]
-    del parts  # the chunk copies go before the median takes its moduli
-    med = _abs_median(y)
+    y = (proj.conj() @ x).real  # [D, n]
+    num = y.shape[1]
+    med = np.median(np.abs(y), axis=1, overwrite_input=True)
     live = med > 0
     if not live.any():
-        # the only case that needs the full pass over the input
-        if not np.any(flat):
+        nonzero = np.any(spec.bins, axis=0)  # [F, T]
+        if spec.valid_mask is not None:
+            nonzero &= spec.valid_mask
+        if not nonzero.any():
             raise EstimationError("cannot estimate alpha from an all-zero spectrogram")
         return AlphaParam(_ALPHA_MAX)  # no projection has a scale to read
     if not live.all():
@@ -268,15 +255,8 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     # different heap layout under the sketch's arrays)
     y = y / med[live, None]  # [D', n]
     half_thetas = 0.5 * _ECF_THETAS[:, None]
-
-    def cf_sums(s0, s1):  # [2, D', K]: no [D', K, n] phase array is ever whole
-        sums = [_cos_sin_sums(half_thetas * row[s0:s1]) for row in y]
-        return np.array(sums).transpose(1, 0, 2)
-
-    # the chunk edges are those of a [D', K] phase block per sample
-    parts = _map_chunks(cf_sums, num, 16 * y.shape[0] * _ECF_THETAS.size, _CHUNK_BYTES)
-    cos_sum, sin_sum = sum(parts)  # in chunk order, so the sums do not depend on threads
-    phi = np.hypot(cos_sum, sin_sum) / num  # [D', K]
+    sums = np.array([_cos_sin_sums(half_thetas * row) for row in y])  # [D', 2, K]
+    phi = np.hypot(sums[:, 0], sums[:, 1]) / num  # [D', K]
 
     log_thetas = np.log(_ECF_THETAS)
     slopes = []
@@ -305,37 +285,29 @@ def normalize_observations(spec: Spectrogram, p: float) -> Spectrogram:
     All-zero TF vectors cannot be normalized; they are zeroed out and
     excluded from downstream time averages through ``valid_mask``.
 
-    The pass streams over chunks of bins (see ``_map_chunks``), and each
-    chunk over blocks of bins with at most ``_BLOCK_BYTES`` of |x|^p
-    scratch, written straight into the output. Every value is computed per
-    TF cell, so the result does not depend on the chunks or the threads.
-    Bins, not frames: a bin's frames are contiguous, and chunks of frames
-    made a 40-s pass slower than the unchunked one.
+    One pass over blocks of bins with at most ``_BLOCK_BYTES`` of |x|^p
+    scratch, written straight into the output; every value is computed per
+    TF cell, so the blocks do not change a bit. Bins, not frames: a bin's
+    frames are contiguous.
     """
     if p <= 0:
         raise ParameterError("p must be positive")
     num_channels, num_freqs, num_frames = spec.bins.shape
     bins = np.empty(spec.bins.shape, dtype=np.complex128)
     mask = np.empty((num_freqs, num_frames), dtype=bool)
-
-    unit_bytes = 8 * num_channels * num_frames  # |x|^p of one bin
-
-    def normalize(c0, c1):
-        for f0, f1 in _blocks(c0, c1, unit_bytes):
-            x = spec.bins[:, f0:f1]
-            powers = np.abs(x)
-            powers **= p  # in place: one temporary, not two
-            norms_p = powers.sum(axis=0)  # [Fb, T]
-            del powers  # freed before the division's own block of scratch
-            valid = mask[f0:f1]
-            np.greater(norms_p, 0, out=valid)
-            if spec.valid_mask is not None:
-                valid &= spec.valid_mask[f0:f1]
-            out = bins[:, f0:f1]
-            np.divide(x, np.where(norms_p > 0, norms_p, 1.0), out=out)  # finite where x is
-            out[:, ~valid] = 0.0
-
-    _map_chunks(normalize, num_freqs, unit_bytes, _CHUNK_BYTES)
+    for f0, f1 in _blocks(0, num_freqs, 8 * num_channels * num_frames):  # |x|^p of a bin
+        x = spec.bins[:, f0:f1]
+        powers = np.abs(x)
+        powers **= p  # in place: one temporary, not two
+        norms_p = powers.sum(axis=0)  # [Fb, T]
+        del powers  # freed before the division's own block of scratch
+        valid = mask[f0:f1]
+        np.greater(norms_p, 0, out=valid)
+        if spec.valid_mask is not None:
+            valid &= spec.valid_mask[f0:f1]
+        out = bins[:, f0:f1]
+        np.divide(x, np.where(norms_p > 0, norms_p, 1.0), out=out)  # finite where x is
+        out[:, ~valid] = 0.0
     return _unchecked(spec, bins=bins, valid_mask=mask)
 
 

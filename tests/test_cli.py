@@ -695,6 +695,20 @@ class TestSweep:
         assert f"axis {axis}" in err and repr(bad) in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--axis", "n_sources"], ["--axis", "snr_db"], ["--axis", "t60_s"],
+        ["--axis", "source_alpha"], ["--values=5,10"], ["--axis", "snr_db", "--values="],
+    ])
+    def test_axis_and_values_go_together(self, small_config, tmp_path, capsys, flags):
+        # before: a TypeError traceback (rc 1) for n_sources; a sweep of
+        # the axis at None, or of no axis with the values ignored (rc 0)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(small_config), *flags, "--count", "1",
+                     "--methods", "music-1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--axis" in err and "--values" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_report_aggregates(self, small_config, tmp_path, monkeypatch):
         out = tmp_path / "s"
         assert self.run_sweep(small_config, out, monkeypatch) == 0

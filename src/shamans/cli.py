@@ -21,15 +21,7 @@ import numpy as np
 
 from . import evaluate, scenes
 from .baselines import music_spectrum, srp_phat_spectrum
-from .errors import (
-    EstimationError,
-    FormatError,
-    ParameterError,
-    SceneSpecError,
-    ShamansError,
-    ShapeError,
-    SingularSystemError,
-)
+from .errors import EXIT_IO, FormatError, ParameterError, ShamansError, ShapeError
 from .interp import (
     CoordNetConfig,
     ShBasisConfig,
@@ -60,10 +52,7 @@ from .steering import (
     save_svset,
 )
 
-EXIT_OK = 0
-EXIT_IO = 2
-EXIT_NUMERICAL = 3
-EXIT_INCOMPATIBLE = 4
+EXIT_OK = 0  # the error exit codes live on the error classes (errors.py)
 
 # Every config key once, as (default, kind). A kind is "int", "float",
 # "str", "ints" or "strs" (a list of them), "positions" (an [M, 3] list of
@@ -605,15 +594,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, OSError, FormatError) as exc:
+    except (ShamansError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (SingularSystemError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (ShapeError, SceneSpecError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
+        return exc.exit_code if isinstance(exc, ShamansError) else EXIT_IO
 
 
 def main_entry() -> None:

@@ -1,12 +1,22 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class carries the exit code the command line returns for it: 2 I/O or
+file format, 3 numerical/fit failure, 4 incompatible inputs (the default).
+"""
+
+EXIT_IO, EXIT_NUMERICAL, EXIT_INCOMPATIBLE = 2, 3, 4
 
 
 class ShamansError(Exception):
     """Base class for all package errors."""
 
+    exit_code = EXIT_INCOMPATIBLE
+
 
 class FormatError(ShamansError):
     """Malformed or unsupported file content (bad magic, version, encoding)."""
+
+    exit_code = EXIT_IO
 
 
 class TruncationError(FormatError):
@@ -32,9 +42,13 @@ class ParameterError(ShamansError):
 class EstimationError(ShamansError):
     """Statistical estimation impossible on the given data."""
 
+    exit_code = EXIT_NUMERICAL
+
 
 class SingularSystemError(ShamansError):
     """Unregularized linear system is singular or too ill-conditioned to solve."""
+
+    exit_code = EXIT_NUMERICAL
 
 
 class SceneSpecError(ShamansError):

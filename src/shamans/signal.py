@@ -95,15 +95,14 @@ class Spectrogram:
 
     Bin k sits at frequency k * sample_rate / frame_size; frequencies above
     the analysis band were already dropped, so F <= frame_size / 2 + 1.
-    ``valid_mask`` ([F, T], True = usable) marks TF bins that survived
-    normalization; ``None`` means all bins are valid.
+    An all-zero TF vector ``bins[:, f, t]`` carries no information: the
+    alpha estimate and the Lévy sketch leave it out.
     """
 
     bins: np.ndarray
     sample_rate: int
     frame_size: int
     hop: int
-    valid_mask: np.ndarray | None = None
     first_bin: int = 0  # nonzero after band subsetting (e.g. DC exclusion)
 
     def __post_init__(self):
@@ -114,10 +113,6 @@ class Spectrogram:
             raise ParameterError("more frequency bins than frame_size/2 + 1")
         if not np.all(np.isfinite(self.bins)):
             raise ParameterError("spectrogram contains non-finite bins")
-        if self.valid_mask is not None:
-            self.valid_mask = np.asarray(self.valid_mask, dtype=bool)
-            if self.valid_mask.shape != self.bins.shape[1:]:
-                raise ParameterError("valid_mask must be shaped [F, T]")
 
     @property
     def num_channels(self) -> int:

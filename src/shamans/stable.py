@@ -35,13 +35,14 @@ _ECF_THETAS = np.array([0.1, 0.5, 1.0, 2.0])
 _NUM_PROJECTIONS = 8
 _PROJECTION_SEED = 0x5EED
 _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
-# the alpha estimate reads every s-th valid TF sample, s chosen so that at
-# most this many are read: a 2-s scene is read whole
+# the alpha estimate reads every s-th TF sample, s chosen so that at most
+# this many are read: a 2-s scene is read whole
 _ALPHA_SAMPLES = 2**15
-# the sketch reads _CHUNK_BYTES (from .signal) at call time as the bound on
-# the phase scratch it holds at once; Psi, the p-normalization and a sketch
-# done in one call work in blocks of at most _BLOCK_BYTES of scratch, which
-# stay in cache
+# the sketch bounds the phase scratch it holds at once by this module's copy
+# of _CHUNK_BYTES, bound at import and read at call time (so a patch of
+# signal._CHUNK_BYTES does not reach it); Psi, the p-normalization and a
+# sketch done in one call work in blocks of at most _BLOCK_BYTES of scratch,
+# which stay in cache
 _BLOCK_BYTES = 256 * 2**10
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
@@ -214,24 +215,29 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     real 1-D projection on a small theta grid, and averages the slopes of
     log(-log |phi|) against log theta. A degenerate projection (no decay of
     |phi|, e.g. a constant signal) carries no tail information; if all
-    projections degenerate the Gaussian edge 2.0 is returned.
+    projections degenerate the Gaussian edge 2.0 is returned. An all-zero
+    TF vector (digital silence) carries none either and is left out.
 
-    At most ``_ALPHA_SAMPLES`` of the n valid TF samples are read: every
-    s-th one, s = ceil(n / _ALPHA_SAMPLES), in bin-major (flattened
-    [F, T]) order, so an input of up to 2^15 samples (a 2-s scene) is read
-    whole and the cost does not grow with the audio length. The CF sums
-    are taken one projection at a time, with cos and sin of each phase
-    from one half-angle tangent. Only an input whose every projection has
-    a zero median is read in full, to tell an all-zero input (an error)
-    from one that is zero on the strided samples alone.
+    At most ``_ALPHA_SAMPLES`` of the n TF vectors are read: every s-th
+    one, s = ceil(n / _ALPHA_SAMPLES), in bin-major (flattened [F, T])
+    order, less the all-zero ones among them. So an input of up to 2^15
+    vectors (a 2-s scene) is read whole and the cost does not grow with
+    the audio length. Only when fewer than 100 of the strided vectors are
+    nonzero is the whole input read, to take every s'-th of its n' nonzero
+    vectors (s' = ceil(n' / _ALPHA_SAMPLES)) or, below 100 of them, to
+    raise EstimationError. The CF sums are taken one projection at a time,
+    with cos and sin of each phase from one half-angle tangent.
     """
     flat = spec.bins.reshape(spec.num_channels, -1)
-    valid = None if spec.valid_mask is None else np.flatnonzero(spec.valid_mask)
-    total = flat.shape[1] if valid is None else valid.size
-    if total < 100:
-        raise EstimationError("need at least 100 TF samples to estimate alpha")
-    stride = -(-total // _ALPHA_SAMPLES)
-    x = flat[:, ::stride] if valid is None else flat[:, valid[::stride]]
+    x = flat[:, ::-(-flat.shape[1] // _ALPHA_SAMPLES)]
+    nonzero = np.any(x, axis=0)
+    if np.count_nonzero(nonzero) < 100:
+        picks = np.flatnonzero(np.any(flat, axis=0))
+        if picks.size < 100:
+            raise EstimationError("need at least 100 nonzero TF vectors to estimate alpha")
+        x = flat[:, picks[::-(-picks.size // _ALPHA_SAMPLES)]]
+    elif not nonzero.all():
+        x = x[:, nonzero]
 
     rng = np.random.default_rng(_PROJECTION_SEED)
     proj = rng.standard_normal((_NUM_PROJECTIONS, spec.num_channels)) \
@@ -242,11 +248,6 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     med = np.median(np.abs(y), axis=1, overwrite_input=True)
     live = med > 0
     if not live.any():
-        nonzero = np.any(spec.bins, axis=0)  # [F, T]
-        if spec.valid_mask is not None:
-            nonzero &= spec.valid_mask
-        if not nonzero.any():
-            raise EstimationError("cannot estimate alpha from an all-zero spectrogram")
         return AlphaParam(_ALPHA_MAX)  # no projection has a scale to read
     if not live.all():
         y = y[live]
@@ -282,8 +283,8 @@ def _unchecked(obj, **changes):
 def normalize_observations(spec: Spectrogram, p: float) -> Spectrogram:
     """Divide each TF vector by the p-th power of its p-norm.
 
-    All-zero TF vectors cannot be normalized; they are zeroed out and
-    excluded from downstream time averages through ``valid_mask``.
+    A TF vector of zero p-norm cannot be normalized: it comes out all
+    zero, and the sketch leaves it out.
 
     One pass over blocks of bins with at most ``_BLOCK_BYTES`` of |x|^p
     scratch, written straight into the output; every value is computed per
@@ -294,21 +295,17 @@ def normalize_observations(spec: Spectrogram, p: float) -> Spectrogram:
         raise ParameterError("p must be positive")
     num_channels, num_freqs, num_frames = spec.bins.shape
     bins = np.empty(spec.bins.shape, dtype=np.complex128)
-    mask = np.empty((num_freqs, num_frames), dtype=bool)
     for f0, f1 in _blocks(0, num_freqs, 8 * num_channels * num_frames):  # |x|^p of a bin
         x = spec.bins[:, f0:f1]
         powers = np.abs(x)
         powers **= p  # in place: one temporary, not two
         norms_p = powers.sum(axis=0)  # [Fb, T]
         del powers  # freed before the division's own block of scratch
-        valid = mask[f0:f1]
-        np.greater(norms_p, 0, out=valid)
-        if spec.valid_mask is not None:
-            valid &= spec.valid_mask[f0:f1]
+        zero = norms_p == 0
         out = bins[:, f0:f1]
-        np.divide(x, np.where(norms_p > 0, norms_p, 1.0), out=out)  # finite where x is
-        out[:, ~valid] = 0.0
-    return _unchecked(spec, bins=bins, valid_mask=mask)
+        np.divide(x, np.where(zero, 1.0, norms_p), out=out)  # finite where x is
+        out[:, zero] = 0.0  # |x|^p may underflow to 0 where x is not 0
+    return _unchecked(spec, bins=bins)
 
 
 def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
@@ -316,9 +313,11 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     """Nonnegative Lévy-exponent estimates, one per (bin, direction).
 
     For each probe vector the estimate is -2 ln |mean_t exp(i Re(a~^H x_t)
-    / 2^(1/alpha))| over the valid frames of that bin. The time average of
-    unit-modulus terms never exceeds 1, so estimates are nonnegative; an
-    exactly-zero average is floored at 1e-300 before the log.
+    / 2^(1/alpha))| over the frames t of that bin whose TF vector x_t is
+    not all zero; an all-zero vector carries no information. The time
+    average of unit-modulus terms never exceeds 1, so estimates are
+    nonnegative; an exactly-zero average (also that of a bin with no
+    nonzero vector) is floored at 1e-300 before the log.
 
     The sketch streams over chunks of frames (see ``_map_chunks``): each
     chunk's phases come from one batched real matmul [F, L, 2M] @
@@ -340,7 +339,8 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
     # and the 1/2^(1/alpha) scale ride on the SV side
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
     probes = (0.5 / 2.0 ** (1.0 / alpha.alpha)) * np.concatenate((a.real, a.imag), axis=2)
-    mask = spec.valid_mask
+    nonzero = np.any(spec.bins, axis=0)  # [F, T]
+    mask = None if nonzero.all() else nonzero
 
     def chunk_sums(t0, t1):
         x = spec.bins[:, :, t0:t1].transpose(1, 0, 2)  # [F, M, Tc]
@@ -486,6 +486,8 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
     The solve runs on a float32 Psi (``build_psi`` rounds the float64
     coherences once), so its products and ratio are float32; the sketch
     and the measure stay float64.
+    ``info["masked_bins"]`` counts the retained TF vectors that are all
+    zero, which the sketch leaves out.
     ``info["psi_dtype"]`` names that precision, and ``info["timings_ms"]``
     holds the wall time of the stages ``alpha``, ``normalize`` (band,
     observations and SVs), ``sketch``, ``psi`` and ``solve``.
@@ -500,9 +502,8 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
 
     with _timed(timings, "normalize"):
         band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
-        retained = _unchecked(
-            spec, bins=spec.bins[:, band, :], first_bin=spec.first_bin + band.start,
-            valid_mask=None if spec.valid_mask is None else spec.valid_mask[band])
+        retained = _unchecked(spec, bins=spec.bins[:, band, :],
+                              first_bin=spec.first_bin + band.start)
         sub_spec = normalize_observations(retained, config.p_norm)
         sub_svs = _unchecked(svs, values=svs.values[:, :, sv_idx],
                              freqs_hz=svs.freqs_hz[sv_idx])
@@ -520,7 +521,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         **asdict(config),
         "num_freqs": int(sv_idx.size),
         "num_frames": spec.num_frames,
-        "masked_bins": int(sub_spec.valid_mask.size - np.count_nonzero(sub_spec.valid_mask)),
+        "masked_bins": int(np.count_nonzero(~np.any(sub_spec.bins, axis=0))),
         "levy_clamped": int(np.count_nonzero(i_hat >= _LEVY_CEIL)),
         "psi_dtype": str(psi.dtype),
         "timings_ms": timings,

@@ -17,6 +17,7 @@ from .errors import (
     GeometryError,
     NormalizationError,
     ParameterError,
+    ShamansError,
     ShapeError,
     TruncationError,
 )
@@ -217,9 +218,11 @@ def load_svset(path) -> SteeringVectorSet:
     if radius == 0.0 and np.array_equal(azimuths, np.arange(azimuths.size)):
         raise FormatError(f"{path}: a fit artifact (interpolator coefficients), "
                           "not an SV set")
-    grid = DoaGrid(azimuths, radius, elevation)
-    return SteeringVectorSet(values=values, grid=grid, freqs_hz=freqs,
-                             source_tag=_BYTE_TO_TAG[tag_byte])
+    try:  # a bad grid or value is the file's fault: a format error naming it
+        return SteeringVectorSet(values=values, grid=DoaGrid(azimuths, radius, elevation),
+                                 freqs_hz=freqs, source_tag=_BYTE_TO_TAG[tag_byte])
+    except ShamansError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def write_svset_raw(path, values, axis0, freqs_hz, radius, elevation, tag_byte: int) -> None:

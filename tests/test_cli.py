@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shamans import cli, scenes
+from shamans import cli, errors, scenes
 from shamans.cli import DEFAULT_CONFIG, load_config, main
 from shamans.interp import interp_error_report, interp_svs, load_fit_artifact
-from shamans.steering import load_svset
+from shamans.steering import load_svset, read_svset_raw, write_svset_raw
 
 DATA = Path(__file__).parent / "data"
 
@@ -605,6 +605,67 @@ class TestLocalize:
         assert rc == 2
         assert "a fit artifact" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage, message", [
+        ("radius", "grid radius must be positive"),
+        ("zero", "steering vector is identically zero"),
+    ])
+    def test_svset_content_error_exits_2(self, small_config, measured_svset, tmp_path,
+                                         capsys, damage, message):
+        # before: exit 4 with no file name (a negative radius), and a
+        # NormalizationError traceback (rc 1) for a zero steering vector
+        bad = tmp_path / "bad.svst"
+        if damage == "radius":
+            blob = bytearray(Path(measured_svset).read_bytes())
+            blob[27] ^= 0x80  # the sign bit of the little-endian radius
+            bad.write_bytes(bytes(blob))
+        else:
+            values, azimuths, freqs, radius, elevation, tag = read_svset_raw(measured_svset)
+            values[3, :, 1] = 0.0
+            write_svset_raw(bad, values, azimuths, freqs, radius, elevation, tag)
+        rc = main(["localize", "--config", str(small_config), "--sv-model", "ref",
+                   "--sv-path", str(bad), "--method", "music-1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: " in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"array": {"kind": "positions",
+                    "mic_positions_m": [[0, 0, 0], [0, 0, 0], [0.1, 0, 0]]}},
+         "two microphones coincide"),
+        ({"grid": {"radius_m": 0.05}}, "grid radius must exceed the farthest microphone"),
+    ])
+    def test_geometry_error_exits_4(self, tmp_path, capsys, doc, message):
+        # before: a GeometryError traceback (rc 1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["localize", "--config", str(path), "--sv-model", "alg",
+                   "--method", "music-1", "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+
+    def test_every_package_error_exits_with_its_code(self, tmp_path, capsys, monkeypatch):
+        want = {"FormatError": 2, "TruncationError": 2, "EstimationError": 3,
+                "SingularSystemError": 3, "GeometryError": 4, "NormalizationError": 4,
+                "ShapeError": 4, "ParameterError": 4, "SceneSpecError": 4,
+                "UndefinedMetricError": 4}
+        # every class of the package's hierarchy, so that a new one needs a row
+        classes, todo = [], [errors.ShamansError]
+        while todo:
+            subs = [c for c in todo.pop().__subclasses__()
+                    if c.__module__ == errors.__name__]
+            classes += subs
+            todo += subs
+        assert sorted(c.__name__ for c in classes) == sorted(want)
+        for cls in classes:
+            def fail(args, cls=cls):
+                raise cls("boom")
+            monkeypatch.setattr(cli, "cmd_report", fail)
+            assert main(["report", "--detail", "d.csv", "--out", str(tmp_path)]) \
+                == want[cls.__name__], cls
+            assert capsys.readouterr().err == "error: boom\n"
+
     @pytest.mark.parametrize("sv_model", ["sh", "nslite"])
     @pytest.mark.parametrize("n_sv, rc", [(12, 0), (-1, 4), (0, 4), (25, 4)])
     def test_fitted_model_without_path_fits_in_run(self, small_config, tmp_path, capsys,
@@ -648,30 +709,23 @@ class TestLocalize:
 
 
 class TestSweep:
-    def run_sweep(self, small_config, out, monkeypatch, threads="1"):
-        monkeypatch.setenv("SHAMANS_THREADS", threads)
+    @staticmethod
+    def run_sweep(small_config, out):
         return main(["sweep", "--config", str(small_config),
                      "--axis", "snr_db", "--values", "5,20", "--count", "2",
                      "--methods", "shamans,music-1", "--out", str(out)])
 
-    def test_row_count_and_determinism(self, small_config, tmp_path, monkeypatch):
+    def test_row_count_and_determinism(self, small_config, tmp_path, no_threads):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert self.run_sweep(small_config, out1, monkeypatch) == 0
-        assert self.run_sweep(small_config, out2, monkeypatch) == 0
+        assert self.run_sweep(small_config, out1) == 0
+        assert self.run_sweep(small_config, out2) == 0
         detail1 = (out1 / "detail.csv").read_text()
         assert detail1 == (out2 / "detail.csv").read_text()
         rows = detail1.strip().splitlines()
         assert len(rows) - 1 == 2 * 2 * 2  # values x count x methods
         assert (out1 / "summary.csv").exists()
 
-    def test_parallel_matches_serial(self, small_config, tmp_path, monkeypatch):
-        out1, out2 = tmp_path / "p1", tmp_path / "p2"
-        assert self.run_sweep(small_config, out1, monkeypatch, threads="1") == 0
-        assert self.run_sweep(small_config, out2, monkeypatch, threads="2") == 0
-        assert (out1 / "detail.csv").read_text() == (out2 / "detail.csv").read_text()
-
-    def test_negative_values_sweep(self, small_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
+    def test_negative_values_sweep(self, small_config, tmp_path, no_threads):
         out = tmp_path / "neg"
         assert main(["sweep", "--config", str(small_config), "--axis", "snr_db",
                      "--values=-5,20", "--count", "1", "--methods", "music-1",
@@ -709,9 +763,9 @@ class TestSweep:
         assert "--axis" in err and "--values" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_report_aggregates(self, small_config, tmp_path, monkeypatch):
+    def test_report_aggregates(self, small_config, tmp_path, no_threads):
         out = tmp_path / "s"
-        assert self.run_sweep(small_config, out, monkeypatch) == 0
+        assert self.run_sweep(small_config, out) == 0
         summary = tmp_path / "resummary.csv"
         rc = main(["report", "--detail", str(out / "detail.csv"),
                    "--out", str(summary)])
@@ -719,7 +773,7 @@ class TestSweep:
         assert summary.read_text() == (out / "summary.csv").read_text()
 
     def test_partial_failure_recorded_run_continues(self, small_config, tmp_path,
-                                                    monkeypatch):
+                                                    no_threads):
         # sh artifact path pointing nowhere: those rows carry an error
         # status while the ref rows still complete
         import json
@@ -728,7 +782,6 @@ class TestSweep:
         cfg["sv"] = {"model": "sh", "path": str(tmp_path / "missing.svst")}
         bad_cfg = tmp_path / "bad.json"
         bad_cfg.write_text(json.dumps(cfg))
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
         out = tmp_path / "pf"
         rc = main(["sweep", "--config", str(bad_cfg), "--count", "2",
                    "--methods", "shamans", "--sv-models", "ref,sh",
@@ -743,12 +796,11 @@ class TestSweep:
         assert all(s.startswith("sv-error") for s in by_model["sh"])
 
     def test_unexpected_method_error_becomes_row(self, small_config, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, no_threads):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "run_method", broken)
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
         out = tmp_path / "broken"
         rc = main(["sweep", "--config", str(small_config), "--count", "1",
                    "--methods", "shamans,music-1", "--sv-models", "ref,alg",
@@ -765,13 +817,12 @@ class TestSweep:
         ("algebraic_svs", "sv-error", {"alg"}),
     ])
     def test_unexpected_step_error_becomes_rows(self, small_config, tmp_path,
-                                                monkeypatch, capsys, step, status,
-                                                failed_models):
+                                                monkeypatch, no_threads, capsys, step,
+                                                status, failed_models):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, step, broken)
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
         out = tmp_path / "broken"
         rc = main(["sweep", "--config", str(small_config), "--count", "2",
                    "--methods", "shamans,music-1", "--sv-models", "ref,alg",
@@ -789,7 +840,7 @@ class TestSweep:
         assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_field_and_sv_sets_built_once_per_sweep(self, artifact_config, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, no_threads):
         calls = {}
 
         def counted(name):
@@ -802,7 +853,6 @@ class TestSweep:
 
         for name in ("build_field", "algebraic_svs", "load_fit_artifact"):
             monkeypatch.setattr(cli, name, counted(name))
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
         out = tmp_path / "once"
         assert main(["sweep", "--config", str(artifact_config), "--count", "3",
                      "--methods", "music-1", "--sv-models", "ref,alg,sh",
@@ -811,13 +861,12 @@ class TestSweep:
         rows = read_rows(out / "detail.csv")
         assert len(rows) == 3 * 3 and all(r["status"] == "ok" for r in rows)
 
-    def test_in_run_fits_compare_both_interpolators(self, tmp_path, monkeypatch):
+    def test_in_run_fits_compare_both_interpolators(self, tmp_path, monkeypatch, no_threads):
         # default config, no sv.path: sh and nslite are fitted to the sweep's
         # own ref, which is built once (before: exit 4, "sv.path needed")
         builds = []
         real = cli.build_field
         monkeypatch.setattr(cli, "build_field", lambda *args: builds.append(1) or real(*args))
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
         out = tmp_path / "fits"
         assert main(["sweep", "--count", "1", "--methods", "music-1",
                      "--sv-models", "ref,alg,sh,nslite", "--out", str(out)]) == 0
@@ -830,8 +879,7 @@ class TestSweep:
         (25, "requested 25 measurements, set has 24"),
     ])
     def test_in_run_fit_off_the_grid_becomes_rows(self, small_config, tmp_path, capsys,
-                                                  monkeypatch, n_sv, message):
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
+                                                  no_threads, n_sv, message):
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(with_n_sv(small_config, tmp_path, n_sv)),
                      "--count", "2", "--methods", "music-1", "--sv-models", "ref,sh,nslite",
@@ -842,9 +890,8 @@ class TestSweep:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_non_integer_music_rank_becomes_row(self, small_config, tmp_path, capsys,
-                                                monkeypatch):
+                                                no_threads):
         # before: "error: ValueError: invalid literal ..." and a traceback
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(small_config), "--count", "1",
                      "--methods", "music-x,music-1", "--out", str(out)]) == 0
@@ -865,10 +912,10 @@ class TestSweep:
                             r"\n\1,one,", text, count=1),
     ])
     def test_report_rejects_a_file_not_a_detail_csv(self, small_config, tmp_path,
-                                                    monkeypatch, capsys, edit):
+                                                    no_threads, capsys, edit):
         # before: a KeyError or ValueError traceback (rc 1)
         out = tmp_path / "s"
-        assert self.run_sweep(small_config, out, monkeypatch) == 0
+        assert self.run_sweep(small_config, out) == 0
         text = (out / "detail.csv").read_text()
         bad = tmp_path / "bad.csv"
         bad.write_text(edit(text))
@@ -878,8 +925,7 @@ class TestSweep:
         assert f"{bad}:" in err and "Traceback" not in err
 
     def test_sv_model_mismatch_becomes_rows(self, artifact_config, sh_artifact, tmp_path,
-                                            monkeypatch):
-        monkeypatch.setenv("SHAMANS_THREADS", "1")
+                                            no_threads):
         out = tmp_path / "mismatch"
         assert main(["sweep", "--config", str(artifact_config), "--count", "2",
                      "--methods", "music-1", "--sv-models", "ref,nslite,foo",

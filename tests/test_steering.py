@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shamans import cli, scenes
 from shamans.errors import (
@@ -218,6 +220,24 @@ class TestSvsetContainer:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_svset(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 255)),
+                          min_size=1, max_size=3))
+    def test_byte_mutations_load_or_raise_format_error(self, tmp_path_factory, edits):
+        # 1-3 changed bytes anywhere in a valid 8 x 3 x 5 set: a bad grid,
+        # value or steering vector is a format error naming the file too
+        # (before: ParameterError or NormalizationError)
+        path = tmp_path_factory.getbasetemp() / "fuzz.svst"
+        save_svset(self.make_set(), path)
+        blob = bytearray(path.read_bytes())
+        for pos, byte in edits:
+            blob[pos % len(blob)] = byte
+        path.write_bytes(bytes(blob))
+        try:
+            load_svset(path)
+        except FormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 class TestMatchFreqBins:

@@ -28,7 +28,6 @@ from .stable import (
     estimate_alpha,
     levy_estimator,
     multiplicative_update,
-    normalize_observations,
     sample_sas,
     shamans_localize,
 )

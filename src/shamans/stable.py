@@ -1,10 +1,10 @@
 """Alpha-stable spatial measure estimation.
 
-The chain: estimate the characteristic exponent from the mixture, p-norm
-normalize the TF observations, sketch nonnegative Lévy-exponent estimates
-against normalized steering vectors, build the SV cross-coherence matrix,
-and invert the linear relation between the sketch and the spatial measure
-with sparse multiplicative updates.
+The chain: estimate the characteristic exponent from the mixture, weigh
+the TF observations by their p-norm, sketch nonnegative Lévy-exponent
+estimates against normalized steering vectors, build the SV
+cross-coherence matrix, and invert the linear relation between the sketch
+and the spatial measure with sparse multiplicative updates.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
 _ALPHA_SAMPLES = 2**15
 # the sketch bounds the phase scratch it holds at once by this module's copy
 # of _CHUNK_BYTES, bound at import and read at call time (so a patch of
-# signal._CHUNK_BYTES does not reach it); Psi, the p-normalization and a
+# signal._CHUNK_BYTES does not reach it); Psi, the p-norm weights and a
 # sketch done in one call work in blocks of at most _BLOCK_BYTES of scratch,
 # which stay in cache
 _BLOCK_BYTES = 256 * 2**10
@@ -191,13 +191,12 @@ def _blocks(start: int, stop: int, unit_bytes: int) -> list:
 
 
 def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
-    """Sums over the last axis of cos(2h) and sin(2h) for half-angles h.
-
-    Both come from one tangent t = tan(h): cos = 2/(1+t^2) - 1 and
-    sin = 2t/(1+t^2). ``weight`` (0/1, broadcast against ``half_phase``)
-    drops the terms it zeroes from both sums. ``half_phase`` is overwritten
-    and one more float64 array of its shape is allocated: 16 bytes of
-    scratch per phase.
+    """Sums over the last axis of cos(2h) and sin(2h) for half-angles h,
+    from one tangent t = tan(h): cos = 2/(1+t^2) - 1, sin = 2t/(1+t^2).
+    ``weight`` (0/1, broadcast against ``half_phase``) drops the terms it
+    zeroes. The sums are in ``half_phase``'s dtype; it is overwritten, and
+    one more array like it is allocated: 16 bytes of scratch per phase in
+    float64, 8 in float32.
     """
     t = np.tan(half_phase, out=half_phase)
     u = np.square(t)
@@ -280,88 +279,89 @@ def _unchecked(obj, **changes):
     return out
 
 
-def normalize_observations(spec: Spectrogram, p: float) -> Spectrogram:
-    """Divide each TF vector by the p-th power of its p-norm.
-
-    A TF vector of zero p-norm cannot be normalized: it comes out all
-    zero, and the sketch leaves it out.
-
-    One pass over blocks of bins with at most ``_BLOCK_BYTES`` of |x|^p
-    scratch, written straight into the output; every value is computed per
-    TF cell, so the blocks do not change a bit. Bins, not frames: a bin's
-    frames are contiguous.
+def _p_weights(bins: np.ndarray, p: float) -> np.ndarray:
+    """The p-normalizing weight 1/S, S = sum_m |x_m|^p, of each TF vector of
+    ``bins`` [M, F, T], as [F, T]. It is 0, and the sketch leaves the vector
+    out, when S is 0 or subnormal, or when the normalized entries may pass
+    2^55 (S^(1/p - 1) > 2^55: tiny vectors at p > 1, huge ones at p < 1),
+    where a float64 phase has a rounding unit above 2 pi. Computed per TF
+    cell over blocks of bins with at most ``_BLOCK_BYTES`` of |x|^p scratch.
     """
     if p <= 0:
         raise ParameterError("p must be positive")
-    num_channels, num_freqs, num_frames = spec.bins.shape
-    bins = np.empty(spec.bins.shape, dtype=np.complex128)
+    edge = 2.0 ** min(-55.0 * p / (p - 1.0), 1023.0) if p != 1.0 else 0.0  # S^(1/p-1) = 2^55
+    low = max(np.finfo(np.float64).tiny, edge if p >= 1.0 else 0.0)  # the S kept
+    high = np.inf if p >= 1.0 else edge
+    num_channels, num_freqs, num_frames = bins.shape
+    weights = np.zeros((num_freqs, num_frames))
     for f0, f1 in _blocks(0, num_freqs, 8 * num_channels * num_frames):  # |x|^p of a bin
-        x = spec.bins[:, f0:f1]
-        powers = np.abs(x)
-        powers **= p  # in place: one temporary, not two
+        powers = np.abs(bins[:, f0:f1])
+        if p != 1.0:
+            powers **= p  # in place: one temporary, not two
         norms_p = powers.sum(axis=0)  # [Fb, T]
-        del powers  # freed before the division's own block of scratch
-        zero = norms_p == 0
-        out = bins[:, f0:f1]
-        np.divide(x, np.where(zero, 1.0, norms_p), out=out)  # finite where x is
-        out[:, zero] = 0.0  # |x|^p may underflow to 0 where x is not 0
-    return _unchecked(spec, bins=bins)
+        np.divide(1.0, norms_p, out=weights[f0:f1],
+                  where=(norms_p >= low) & (norms_p <= high))
+    return weights
 
 
-def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet,
-                   alpha: AlphaParam) -> np.ndarray:
+def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
+                   weights: np.ndarray | None = None) -> np.ndarray:
     """Nonnegative Lévy-exponent estimates, one per (bin, direction).
 
-    For each probe vector the estimate is -2 ln |mean_t exp(i Re(a~^H x_t)
-    / 2^(1/alpha))| over the frames t of that bin whose TF vector x_t is
-    not all zero; an all-zero vector carries no information. The time
-    average of unit-modulus terms never exceeds 1, so estimates are
-    nonnegative; an exactly-zero average (also that of a bin with no
-    nonzero vector) is floored at 1e-300 before the log.
+    Each is -2 ln |mean_t exp(i Re(a~^H y_t) / 2^(1/alpha))| over the frames
+    t of the bin not left out, floored at 1e-300 before the log. Without
+    ``weights``, y_t is the TF vector x_t and all-zero vectors are left out;
+    with ``weights`` [F, T] (``shamans_localize`` passes ``_p_weights``),
+    y_t = w_t x_t and the vectors of weight 0 are left out.
 
-    The sketch streams over chunks of frames (see ``_map_chunks``): each
-    chunk's phases come from one batched real matmul [F, L, 2M] @
-    [F, 2M, Tc] and their cos and sin from one half-angle tangent, reduced
-    to [F, L] sums. Working memory is bounded by ``_CHUNK_BYTES`` and does
-    not grow with T. An input done in one inline call (such as a 1-s
-    scene) is taken in blocks of bins with at most ``_BLOCK_BYTES`` of
-    phases each; every (bin, direction) cell still sums the same frames in
-    the same order.
+    Chunks of frames (see ``_map_chunks``) take their phases from one
+    float32 matmul [F, L, 2M] @ [F, 2M, Tc], whose operand is the bins
+    times the weights rounded once to float32, and cos and sin from one
+    float32 half-angle tangent: 8 bytes of scratch per phase, at most
+    ``_CHUNK_BYTES`` in all. The chunks' [F, L] sums are added in float64
+    in chunk order, so no thread count changes a bit; an inline call (a
+    1-s scene) runs in blocks of bins of at most ``_BLOCK_BYTES`` of
+    phases. Float32 rounds a phase theta by about 6e-8 |theta|, so each CF
+    modulus is within a few float32 epsilons times (1 + max |theta|) of
+    the float64 formula's.
     """
     if not same_freq_axis(spec.freqs_hz, svs.freqs_hz):
         raise ShapeError("spectrogram and SV set must share the frequency axis")
     if spec.num_channels != svs.num_mics:
         raise ShapeError("spectrogram and SV set must share the channel count")
-
-    num_dirs, _, num_freqs = svs.values.shape
+    num_dirs, num_mics, num_freqs = svs.values.shape
     num_frames = spec.num_frames
-    # Re(a^H x) = Re(a).Re(x) + Im(a).Im(x); the half angle of the tangent
+    if weights is not None and np.shape(weights) != (num_freqs, num_frames):
+        raise ShapeError("weights must hold one value per TF vector [F, T]")
+
+    # Re(a^H y) = Re(a).Re(y) + Im(a).Im(y); the half angle of the tangent
     # and the 1/2^(1/alpha) scale ride on the SV side
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
-    probes = (0.5 / 2.0 ** (1.0 / alpha.alpha)) * np.concatenate((a.real, a.imag), axis=2)
-    nonzero = np.any(spec.bins, axis=0)  # [F, T]
-    mask = None if nonzero.all() else nonzero
+    probes = ((0.5 / 2.0 ** (1.0 / alpha.alpha))
+              * np.concatenate((a.real, a.imag), axis=2)).astype(np.float32)
+    kept = np.any(spec.bins, axis=0) if weights is None else weights != 0  # [F, T]
+    mask = None if kept.all() else kept.astype(np.float32)
 
     def chunk_sums(t0, t1):
         x = spec.bins[:, :, t0:t1].transpose(1, 0, 2)  # [F, M, Tc]
         sums = np.empty((2, num_freqs, num_dirs))
-        # a chunk of a longer input stays whole: split further, its many
-        # small numpy calls kept the worker threads waiting on the
-        # interpreter lock (on 2 CPUs, 256-KB blocks took a 20-s sketch
-        # from 105 to 170 ms)
-        blocks = _blocks(0, num_freqs, 16 * num_dirs * num_frames) \
+        # a chunk of a longer input stays whole: in 256-KB blocks, its many
+        # small numpy calls kept the threads waiting on the interpreter lock
+        # (on 2 CPUs, a 20-s sketch went from 105 to 170 ms)
+        blocks = _blocks(0, num_freqs, 8 * num_dirs * num_frames) \
             if t1 - t0 == num_frames else [(0, num_freqs)]
         for f0, f1 in blocks:
-            xb = x[f0:f1]
-            half = probes[f0:f1] @ np.concatenate((xb.real, xb.imag), axis=1)  # [Fb, L, Tc]
-            sums[:, f0:f1] = _cos_sin_sums(
-                half, None if mask is None else mask[f0:f1, None, t0:t1])
+            scale = 1.0 if weights is None else weights[f0:f1, None, t0:t1]
+            operand = np.empty((f1 - f0, 2 * num_mics, t1 - t0), dtype=np.float32)
+            np.multiply(x[f0:f1].real, scale, out=operand[:, :num_mics], casting="same_kind")
+            np.multiply(x[f0:f1].imag, scale, out=operand[:, num_mics:], casting="same_kind")
+            sums[:, f0:f1] = _cos_sin_sums(  # of [Fb, L, Tc] phases
+                probes[f0:f1] @ operand, None if mask is None else mask[f0:f1, None, t0:t1])
         return sums
 
-    parts = _map_chunks(chunk_sums, num_frames, 16 * num_freqs * num_dirs, _CHUNK_BYTES)
+    parts = _map_chunks(chunk_sums, num_frames, 8 * num_freqs * num_dirs, _CHUNK_BYTES)
     cos_sum, sin_sum = sum(parts)  # in chunk order, so the sums do not depend on threads
-    counts = num_frames if mask is None else np.maximum(mask.sum(axis=1), 1)[:, None]
-    mag = np.hypot(cos_sum, sin_sum) / counts  # [F, L]
+    mag = np.hypot(cos_sum, sin_sum) / np.maximum(kept.sum(axis=1), 1)[:, None]  # [F, L]
     if np.any(mag < _MAG_FLOOR):
         warnings.warn("Lévy estimator hit an exactly-zero empirical average; "
                       "clamping before the log", RuntimeWarning)
@@ -478,19 +478,18 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
                      config: SolverConfig | None = None) -> SpatialMeasure:
     """End-to-end alpha-stable localization over the SV grid.
 
-    Estimates alpha from the raw mixture, p-normalizes observations,
-    normalizes the steering vectors, sketches the Lévy exponents, and runs
-    the multiplicative updates. The DC bin and any bin missing from the SV
-    set's frequency axis never enter the sketch.
-
-    The solve runs on a float32 Psi (``build_psi`` rounds the float64
-    coherences once), so its products and ratio are float32; the sketch
-    and the measure stay float64.
-    ``info["masked_bins"]`` counts the retained TF vectors that are all
-    zero, which the sketch leaves out.
-    ``info["psi_dtype"]`` names that precision, and ``info["timings_ms"]``
-    holds the wall time of the stages ``alpha``, ``normalize`` (band,
-    observations and SVs), ``sketch``, ``psi`` and ``solve``.
+    Estimates alpha from the raw mixture, weighs the retained TF vectors by
+    their p-norm (``_p_weights``; no normalized copy of the bins is made),
+    normalizes the steering vectors, sketches the Lévy exponents in float32
+    and runs the multiplicative updates on a float32 Psi (``build_psi``
+    rounds the float64 coherences once); the weights, the estimates and the
+    measure are float64. The DC bin and any bin missing from the SV set's
+    frequency axis never enter the sketch.
+    ``info["masked_bins"]`` counts the retained TF vectors of weight 0,
+    which the sketch leaves out. ``info["psi_dtype"]`` names the solve's
+    precision, and ``info["timings_ms"]`` holds the wall time of the stages
+    ``alpha``, ``normalize`` (band, weights and SVs), ``sketch``, ``psi``
+    and ``solve``.
     """
     config = config or SolverConfig()
     timings = {}
@@ -502,15 +501,15 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
 
     with _timed(timings, "normalize"):
         band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
-        retained = _unchecked(spec, bins=spec.bins[:, band, :],
+        sub_spec = _unchecked(spec, bins=spec.bins[:, band, :],
                               first_bin=spec.first_bin + band.start)
-        sub_spec = normalize_observations(retained, config.p_norm)
+        weights = _p_weights(sub_spec.bins, config.p_norm)
         sub_svs = _unchecked(svs, values=svs.values[:, :, sv_idx],
                              freqs_hz=svs.freqs_hz[sv_idx])
         tilde = normalize_svs(sub_svs)
 
     with _timed(timings, "sketch"):
-        i_hat = levy_estimator(sub_spec, tilde, alpha)
+        i_hat = levy_estimator(sub_spec, tilde, alpha, weights)
     with _timed(timings, "psi"):
         psi = build_psi(tilde, alpha, dtype=np.float32)
     with _timed(timings, "solve"):
@@ -521,7 +520,7 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         **asdict(config),
         "num_freqs": int(sv_idx.size),
         "num_frames": spec.num_frames,
-        "masked_bins": int(np.count_nonzero(~np.any(sub_spec.bins, axis=0))),
+        "masked_bins": int(weights.size - np.count_nonzero(weights)),
         "levy_clamped": int(np.count_nonzero(i_hat >= _LEVY_CEIL)),
         "psi_dtype": str(psi.dtype),
         "timings_ms": timings,

@@ -52,6 +52,8 @@ class DoaGrid:
         self.azimuths_deg = np.asarray(self.azimuths_deg, dtype=np.float64)
         if self.azimuths_deg.ndim != 1 or self.azimuths_deg.size < 2:
             raise ParameterError("grid needs at least two azimuths")
+        if not np.all(np.isfinite([*self.azimuths_deg, self.radius_m, self.elevation_deg])):
+            raise ParameterError("grid azimuths, radius and elevation must be finite")
         if np.any(np.diff(self.azimuths_deg) <= 0):
             raise ParameterError("azimuths must be strictly increasing")
         if self.azimuths_deg[0] < 0 or self.azimuths_deg[-1] >= 360.0:

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -607,6 +608,7 @@ class TestLocalize:
 
     @pytest.mark.parametrize("damage, message", [
         ("radius", "grid radius must be positive"),
+        ("nan", "must be finite"),
         ("zero", "steering vector is identically zero"),
     ])
     def test_svset_content_error_exits_2(self, small_config, measured_svset, tmp_path,
@@ -614,9 +616,12 @@ class TestLocalize:
         # before: exit 4 with no file name (a negative radius), and a
         # NormalizationError traceback (rc 1) for a zero steering vector
         bad = tmp_path / "bad.svst"
-        if damage == "radius":
+        if damage in ("radius", "nan"):
             blob = bytearray(Path(measured_svset).read_bytes())
-            blob[27] ^= 0x80  # the sign bit of the little-endian radius
+            if damage == "radius":
+                blob[27] ^= 0x80  # the sign bit of the little-endian radius
+            else:  # before: loaded, and localize exited 0 with a 174-degree error
+                blob[20:28] = struct.pack("<d", float("nan"))
             bad.write_bytes(bytes(blob))
         else:
             values, azimuths, freqs, radius, elevation, tag = read_svset_raw(measured_svset)

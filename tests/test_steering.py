@@ -13,6 +13,7 @@ from shamans.errors import (
     FormatError,
     GeometryError,
     NormalizationError,
+    ParameterError,
     ShapeError,
     TruncationError,
 )
@@ -235,9 +236,24 @@ class TestSvsetContainer:
             blob[pos % len(blob)] = byte
         path.write_bytes(bytes(blob))
         try:
-            load_svset(path)
+            grid = load_svset(path).grid
         except FormatError as exc:
             assert str(exc).startswith(f"{path}: ")
+        else:  # a set that loads has a finite grid
+            assert np.all(np.isfinite([*grid.azimuths_deg, grid.radius_m,
+                                       grid.elevation_deg]))
+
+    @pytest.mark.parametrize("azimuths, radius, elevation", [
+        ([0.0, 90.0], np.nan, 0.0),
+        ([0.0, np.nan], 1.0, 0.0),
+        ([0.0, 90.0], np.inf, 0.0),
+        ([0.0, 90.0], 1.0, -np.inf),
+    ])
+    def test_nonfinite_grid_raises(self, azimuths, radius, elevation):
+        # NaN passes every range check (each comparison with it is False),
+        # and an infinite radius is positive
+        with pytest.raises(ParameterError, match="finite"):
+            DoaGrid(azimuths, radius, elevation)
 
 
 class TestMatchFreqBins:

@@ -281,26 +281,22 @@ def _unchecked(obj, **changes):
 
 def _p_weights(bins: np.ndarray, p: float) -> np.ndarray:
     """The p-normalizing weight 1/S, S = sum_m |x_m|^p, of each TF vector of
-    ``bins`` [M, F, T], as [F, T]. It is 0, and the sketch leaves the vector
-    out, when S is 0 or subnormal, or when the normalized entries may pass
-    2^55 (S^(1/p - 1) > 2^55: tiny vectors at p > 1, huge ones at p < 1),
-    where a float64 phase has a rounding unit above 2 pi. Computed per TF
-    cell over blocks of bins with at most ``_BLOCK_BYTES`` of |x|^p scratch.
-    """
+    ``bins`` [M, F, T], as [F, T]. It is 0 (the sketch leaves the vector out)
+    when S is 0 or subnormal, or when a normalized entry |x_m| / S passes
+    2^55 (tiny vectors at p > 1, huge ones at p < 1), where a float64 phase
+    has a rounding unit above 2 pi. Blocks of bins hold at most
+    ``_BLOCK_BYTES`` of |x|^p scratch."""
     if p <= 0:
         raise ParameterError("p must be positive")
-    edge = 2.0 ** min(-55.0 * p / (p - 1.0), 1023.0) if p != 1.0 else 0.0  # S^(1/p-1) = 2^55
-    low = max(np.finfo(np.float64).tiny, edge if p >= 1.0 else 0.0)  # the S kept
-    high = np.inf if p >= 1.0 else edge
-    num_channels, num_freqs, num_frames = bins.shape
-    weights = np.zeros((num_freqs, num_frames))
-    for f0, f1 in _blocks(0, num_freqs, 8 * num_channels * num_frames):  # |x|^p of a bin
+    weights = np.zeros(bins.shape[1:])
+    for f0, f1 in _blocks(0, bins.shape[1], 8 * bins[:, 0].size):  # |x|^p of a bin
         powers = np.abs(bins[:, f0:f1])
         if p != 1.0:
             powers **= p  # in place: one temporary, not two
         norms_p = powers.sum(axis=0)  # [Fb, T]
+        peaks = powers.max(axis=0) ** (1.0 / p)  # max_m |x_m|
         np.divide(1.0, norms_p, out=weights[f0:f1],
-                  where=(norms_p >= low) & (norms_p <= high))
+                  where=(norms_p >= np.finfo(np.float64).tiny) & (peaks <= 2.0**55 * norms_p))
     return weights
 
 
@@ -309,10 +305,11 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
     """Nonnegative Lévy-exponent estimates, one per (bin, direction).
 
     Each is -2 ln |mean_t exp(i Re(a~^H y_t) / 2^(1/alpha))| over the frames
-    t of the bin not left out, floored at 1e-300 before the log. Without
-    ``weights``, y_t is the TF vector x_t and all-zero vectors are left out;
-    with ``weights`` [F, T] (``shamans_localize`` passes ``_p_weights``),
-    y_t = w_t x_t and the vectors of weight 0 are left out.
+    t of the bin not left out, floored at 1e-300 before the log; y_t = w_t
+    x_t, w_t from ``weights`` [F, T] (``_p_weights`` in ``shamans_localize``)
+    or, without them, 1 on the nonzero vectors and 0 on the all-zero ones. A
+    vector of weight 0 is left out; a y_t that overflows the float32 phases
+    (|y_t| near float32's 3.4e38 or beyond) raises ParameterError.
 
     Chunks of frames (see ``_map_chunks``) take their phases from one
     float32 matmul [F, L, 2M] @ [F, 2M, Tc], whose operand is the bins
@@ -330,8 +327,9 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
     if spec.num_channels != svs.num_mics:
         raise ShapeError("spectrogram and SV set must share the channel count")
     num_dirs, num_mics, num_freqs = svs.values.shape
-    num_frames = spec.num_frames
-    if weights is not None and np.shape(weights) != (num_freqs, num_frames):
+    if weights is None:
+        weights = np.any(spec.bins, axis=0).astype(np.float64)
+    elif np.shape(weights) != (num_freqs, spec.num_frames):
         raise ShapeError("weights must hold one value per TF vector [F, T]")
 
     # Re(a^H y) = Re(a).Re(y) + Im(a).Im(y); the half angle of the tangent
@@ -339,7 +337,7 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
     probes = ((0.5 / 2.0 ** (1.0 / alpha.alpha))
               * np.concatenate((a.real, a.imag), axis=2)).astype(np.float32)
-    kept = np.any(spec.bins, axis=0) if weights is None else weights != 0  # [F, T]
+    kept = weights != 0  # [F, T]
     mask = None if kept.all() else kept.astype(np.float32)
 
     def chunk_sums(t0, t1):
@@ -348,10 +346,10 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
         # a chunk of a longer input stays whole: in 256-KB blocks, its many
         # small numpy calls kept the threads waiting on the interpreter lock
         # (on 2 CPUs, a 20-s sketch went from 105 to 170 ms)
-        blocks = _blocks(0, num_freqs, 8 * num_dirs * num_frames) \
-            if t1 - t0 == num_frames else [(0, num_freqs)]
+        blocks = _blocks(0, num_freqs, 8 * num_dirs * spec.num_frames) \
+            if t1 - t0 == spec.num_frames else [(0, num_freqs)]
         for f0, f1 in blocks:
-            scale = 1.0 if weights is None else weights[f0:f1, None, t0:t1]
+            scale = weights[f0:f1, None, t0:t1]
             operand = np.empty((f1 - f0, 2 * num_mics, t1 - t0), dtype=np.float32)
             np.multiply(x[f0:f1].real, scale, out=operand[:, :num_mics], casting="same_kind")
             np.multiply(x[f0:f1].imag, scale, out=operand[:, num_mics:], casting="same_kind")
@@ -359,9 +357,11 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
                 probes[f0:f1] @ operand, None if mask is None else mask[f0:f1, None, t0:t1])
         return sums
 
-    parts = _map_chunks(chunk_sums, num_frames, 8 * num_freqs * num_dirs, _CHUNK_BYTES)
+    parts = _map_chunks(chunk_sums, spec.num_frames, 8 * num_freqs * num_dirs, _CHUNK_BYTES)
     cos_sum, sin_sum = sum(parts)  # in chunk order, so the sums do not depend on threads
     mag = np.hypot(cos_sum, sin_sum) / np.maximum(kept.sum(axis=1), 1)[:, None]  # [F, L]
+    if not np.all(np.isfinite(mag)):
+        raise ParameterError("the weighted observations overflow the float32 sketch")
     if np.any(mag < _MAG_FLOOR):
         warnings.warn("Lévy estimator hit an exactly-zero empirical average; "
                       "clamping before the log", RuntimeWarning)

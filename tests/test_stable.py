@@ -282,9 +282,22 @@ class TestNormalizeObservations:
             bins[:, rng.random((9, 61)) >= 0.8] = 0.0
         check_weighted_sketch(Spectrogram(bins, 48000, 768, 384, first_bin=1), 1.3)
 
+    @pytest.mark.parametrize("p", [0.03, 0.05])
+    def test_small_p_keeps_loud_and_quiet_vectors(self, p):
+        # at small p, S = sum |x_m|^p grows slowly with |x|, so a full-scale
+        # STFT bin (about 200 through a Hann-768 frame) normalizes to
+        # entries |x_m| / S of a few dozen and a 1e-9 one to about 1e-9:
+        # neither is near 2^55, so both keep their weight
+        rng = np.random.default_rng(5)
+        bins = rng.standard_normal((6, 3, 40)) + 1j * rng.standard_normal((6, 3, 40))
+        bins[:, :, :20] *= 200.0
+        bins[:, :, 20:30] *= 1e-9
+        bins[:, 1, 35] = 0.0
+        check_weighted_sketch(Spectrogram(bins, 48000, 768, 384, first_bin=1), p)
+
     @pytest.mark.parametrize("p", [1.5, 0.5])
     def test_out_of_range_normalization_left_out(self, p):
-        # p-normalized entries that may pass 2^55 (tiny vectors at p > 1,
+        # p-normalized entries that pass 2^55 (tiny vectors at p > 1,
         # huge ones at p < 1) have float64 phases that are noise already,
         # and would overflow the sketch's float32 operand (tan(inf) is NaN):
         # such vectors get weight 0, like a zero vector
@@ -358,6 +371,15 @@ class TestLevyEstimator:
                           first_bin=1)
         assert np.allclose(levy_estimator(spec, svs, AlphaParam(1.5)),
                            levy_estimator(ref, svs, AlphaParam(1.5)))
+
+    def test_beyond_float32_range_raises(self):
+        # observations near 1e39 overflow the float32 operand, and tan(inf)
+        # is NaN: an error, not a NaN sketch
+        spec, svs = random_levy_inputs(1, 20, 1e39, False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow
+            with pytest.raises(ParameterError, match="float32"):
+                levy_estimator(spec, svs, AlphaParam(1.5))
 
     def test_freq_axis_off_by_micro_hz_raises(self):
         spec = Spectrogram(np.ones((2, 3, 5), dtype=complex), 48000, 768, 384,
@@ -526,15 +548,15 @@ def unblocked_levy(spec, svs, alpha, chunk=None, weights=None):
     a = svs.values.transpose(2, 0, 1)
     probes = ((0.5 / 2.0 ** (1.0 / alpha.alpha))
               * np.concatenate((a.real, a.imag), axis=2)).astype(np.float32)
-    kept = np.any(spec.bins != 0, axis=0) if weights is None else weights != 0
+    if weights is None:
+        weights = np.any(spec.bins, axis=0).astype(np.float64)
+    kept = weights != 0
     mask = None if kept.all() else kept.astype(np.float32)
     cos_sum = np.zeros((svs.num_freqs, len(svs.grid)))
     sin_sum = np.zeros_like(cos_sum)
     chunk = chunk or spec.num_frames
     for t0 in range(0, spec.num_frames, chunk):
-        x = spec.bins[:, :, t0:t0 + chunk].transpose(1, 0, 2)
-        if weights is not None:
-            x = x * weights[:, None, t0:t0 + chunk]
+        x = spec.bins[:, :, t0:t0 + chunk].transpose(1, 0, 2) * weights[:, None, t0:t0 + chunk]
         operand = np.concatenate((x.real, x.imag), axis=1).astype(np.float32)
         c, s = stable._cos_sin_sums(probes @ operand, None if mask is None
                                     else mask[:, None, t0:t0 + chunk])
@@ -1053,6 +1075,22 @@ class TestShamansLocalize:
         out = shamans_localize(tiny, svs, SolverConfig(iterations=50, p_norm=1.5))
         assert np.all(np.isfinite(out.upsilon)) and np.argmax(out.upsilon) == 7
         assert out.info["masked_bins"] == 10 * out.info["num_freqs"]
+        assert out.info["levy_clamped"] == 0
+
+    def test_loud_vectors_at_small_p_kept(self):
+        # at p = 0.05 the normalized entries of loud bins stay far below
+        # 2^55 (S grows like |x|^p), so only the all-zero vectors count as
+        # masked, as when the bins were normalized in float64
+        grid, params, svs = make_scene_setup(seed=1, grid_size=30)
+        scene = SceneSpec(source_indices=[7], seed=2, snr_db=20.0)
+        sg, _ = synth_scene(scene, svs, params)
+        bins = 200.0 * sg.bins / np.abs(sg.bins).max()
+        bins[:, 3::5, ::4] = 0.0
+        loud = Spectrogram(bins, sg.sample_rate, sg.frame_size, sg.hop)
+        out = shamans_localize(loud, svs, SolverConfig(iterations=50, p_norm=0.05))
+        band, _ = match_freq_band(loud.freqs_hz, svs.freqs_hz)
+        assert np.all(np.isfinite(out.upsilon)) and np.argmax(out.upsilon) == 7
+        assert out.info["masked_bins"] == np.count_nonzero(~np.any(bins[:, band], axis=0))
         assert out.info["levy_clamped"] == 0
 
     def test_info_records_stage_timings_and_precision(self):

@@ -7,9 +7,7 @@ float32, little-endian.
 
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,47 +19,24 @@ _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # bytes of scratch per streamed pass over a long input (the STFT and the
-# Lévy sketch, the two passes that threads speed up): within it a pass runs
-# as one inline call, beyond it in chunks of a quarter of it (16 MB was
-# near the fastest size)
+# Lévy sketch): within it a pass runs as one inline call, beyond it in
+# chunks of 1/_CHUNKS_PER_BUDGET of it (4 MB, near the fastest size)
 _CHUNK_BYTES = 16 * 2**20
-_MAX_THREADS = 4
+_CHUNKS_PER_BUDGET = 4
 
 
-def _num_workers() -> int:
-    """CPUs this process may use: os.cpu_count(), capped by SHAMANS_THREADS."""
-    cap = os.environ.get("SHAMANS_THREADS")
-    workers = os.cpu_count() or 1
-    if cap:
-        try:
-            workers = max(1, min(workers, int(cap)))
-        except ValueError:
-            raise ParameterError(f"SHAMANS_THREADS must be an integer, got {cap!r}") from None
-    return workers
-
-
-def _map_chunks(fn, total: int, unit_bytes: int, budget: int) -> list:
-    """``[fn(start, stop), ...]`` over consecutive chunks of ``range(total)``.
+def _chunks(total: int, unit_bytes: int, budget: int) -> list:
+    """Consecutive ``(start, stop)`` ranges covering ``range(total)``.
 
     If the whole range needs at most ``budget`` bytes of scratch
-    (``unit_bytes`` per item), this is one inline call ``fn(0, total)``.
-    Otherwise the chunks hold ``budget // _MAX_THREADS`` bytes each and run
-    on a per-call pool of up to ``_MAX_THREADS`` threads (fewer with fewer
-    CPUs), so at most ``budget`` bytes are in flight. Chunk edges depend
-    only on the arguments and results come back in chunk order, so a
-    caller that reduces them in order gets the same bits on any CPU count.
-    ``fn`` runs on worker threads: it may call numpy and private helpers
-    only.
+    (``unit_bytes`` per item), it is one range ``(0, total)``. Otherwise
+    each range holds ``budget // _CHUNKS_PER_BUDGET`` bytes (and at least
+    one item). The edges depend only on the arguments.
     """
     if total * unit_bytes <= budget:
-        return [fn(0, total)]
-    step = max(1, budget // _MAX_THREADS // unit_bytes)
-    starts = range(0, total, step)
-    workers = min(len(starts), _MAX_THREADS, _num_workers())
-    if workers == 1:
-        return [fn(s, min(s + step, total)) for s in starts]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: fn(s, min(s + step, total)), starts))
+        return [(0, total)]
+    step = max(1, budget // _CHUNKS_PER_BUDGET // unit_bytes)
+    return [(s, min(s + step, total)) for s in range(0, total, step)]
 
 
 @dataclass
@@ -268,8 +243,8 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
     """Windowed one-sided STFT, keeping only bins at or below ``f_max_hz``.
 
     Frames are taken without padding, so T = floor((S - frame_size)/hop) + 1.
-    A long signal is transformed in chunks of frames (see ``_map_chunks``),
-    each writing its kept bins into the [M, F, T] output.
+    A long signal is transformed in chunks of frames (see ``_chunks``), one
+    after another, each writing its kept bins into the [M, F, T] output.
     """
     StftParams(frame_size, hop, f_max_hz, audio.sample_rate)  # checks the settings
     if audio.num_samples < frame_size:
@@ -289,12 +264,11 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
     )
     bins = np.empty((audio.num_channels, num_keep, num_frames), dtype=np.complex128)
 
-    def transform(t0, t1):
-        spectra = np.fft.rfft(frames[:, t0:t1] * window, axis=-1)  # [M, Tc, F_full]
-        bins[:, :, t0:t1] = spectra[:, :, :num_keep].transpose(0, 2, 1)
-
     # scratch per frame: the windowed frame and its full one-sided spectrum
     unit_bytes = audio.num_channels * (8 * frame_size + 16 * (frame_size // 2 + 1))
-    _map_chunks(transform, num_frames, unit_bytes, _CHUNK_BYTES)
+    for t0, t1 in _chunks(num_frames, unit_bytes, _CHUNK_BYTES):
+        spectra = np.fft.rfft(frames[:, t0:t1] * window, axis=-1)  # [M, Tc, F_full]
+        bins[:, :, t0:t1] = spectra[:, :, :num_keep].transpose(0, 2, 1)
+        del spectra  # freed before the next chunk's are made
     return Spectrogram(bins=bins, sample_rate=audio.sample_rate,
                        frame_size=frame_size, hop=hop)

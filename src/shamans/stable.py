@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ParameterError, ShapeError
-from .signal import _CHUNK_BYTES, Spectrogram, _map_chunks
+from .signal import _CHUNK_BYTES, Spectrogram, _chunks
 from .steering import (
     DoaGrid,
     NormalizedSVSet,
@@ -38,10 +38,10 @@ _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
 # the alpha estimate reads every s-th TF sample, s chosen so that at most
 # this many are read: a 2-s scene is read whole
 _ALPHA_SAMPLES = 2**15
-# the sketch bounds the phase scratch it holds at once by this module's copy
+# the sketch cuts a long input into chunks of frames by this module's copy
 # of _CHUNK_BYTES, bound at import and read at call time (so a patch of
-# signal._CHUNK_BYTES does not reach it); Psi, the p-norm weights and a
-# sketch done in one call work in blocks of at most _BLOCK_BYTES of scratch,
+# signal._CHUNK_BYTES does not reach it); Psi, the p-norm weights and every
+# chunk of the sketch work in blocks of at most _BLOCK_BYTES of scratch,
 # which stay in cache
 _BLOCK_BYTES = 256 * 2**10
 # empirical CF moduli below this are clamped before the log, so a Lévy
@@ -206,6 +206,15 @@ def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
     return u.sum(axis=-1) - count, np.einsum("...t,...t->...", u, t)
 
 
+def _row_medians(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=1)`` of a 2-D float array with at least 2
+    columns, bit for bit, partitioning ``a`` in place. np.median's first
+    call in a process imports numpy.ma, which a one-shot run paid for."""
+    k = a.shape[1] // 2
+    a.partition([k - 1, k], axis=1)
+    return a[:, k].copy() if a.shape[1] % 2 else 0.5 * (a[:, k - 1] + a[:, k])
+
+
 def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     """Characteristic exponent from log-log characteristic-function slopes.
 
@@ -244,7 +253,7 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
     y = (proj.conj() @ x).real  # [D, n]
     num = y.shape[1]
-    med = np.median(np.abs(y), axis=1, overwrite_input=True)
+    med = _row_medians(np.abs(y))
     live = med > 0
     if not live.any():
         return AlphaParam(_ALPHA_MAX)  # no projection has a scale to read
@@ -311,16 +320,15 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
     vector of weight 0 is left out; a y_t that overflows the float32 phases
     (|y_t| near float32's 3.4e38 or beyond) raises ParameterError.
 
-    Chunks of frames (see ``_map_chunks``) take their phases from one
-    float32 matmul [F, L, 2M] @ [F, 2M, Tc], whose operand is the bins
-    times the weights rounded once to float32, and cos and sin from one
-    float32 half-angle tangent: 8 bytes of scratch per phase, at most
-    ``_CHUNK_BYTES`` in all. The chunks' [F, L] sums are added in float64
-    in chunk order, so no thread count changes a bit; an inline call (a
-    1-s scene) runs in blocks of bins of at most ``_BLOCK_BYTES`` of
-    phases. Float32 rounds a phase theta by about 6e-8 |theta|, so each CF
-    modulus is within a few float32 epsilons times (1 + max |theta|) of
-    the float64 formula's.
+    Chunks of frames (see ``_chunks``; a 1-s scene is one chunk) are
+    sketched one after another, each in blocks of bins of at most
+    ``_BLOCK_BYTES`` of phases. A block takes its phases from one float32
+    matmul [Fb, L, 2M] @ [Fb, 2M, Tc], whose operand is the bins times the
+    weights rounded once to float32, and cos and sin from one float32
+    half-angle tangent: 8 bytes of scratch per phase. The [F, L] sums are
+    added in float64 in chunk order. Float32 rounds a phase theta by about
+    6e-8 |theta|, so each CF modulus is within a few float32 epsilons times
+    (1 + max |theta|) of the float64 formula's.
     """
     if not same_freq_axis(spec.freqs_hz, svs.freqs_hz):
         raise ShapeError("spectrogram and SV set must share the frequency axis")
@@ -340,25 +348,17 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
     kept = weights != 0  # [F, T]
     mask = None if kept.all() else kept.astype(np.float32)
 
-    def chunk_sums(t0, t1):
+    sums = np.zeros((2, num_freqs, num_dirs))
+    for t0, t1 in _chunks(spec.num_frames, 8 * num_freqs * num_dirs, _CHUNK_BYTES):
         x = spec.bins[:, :, t0:t1].transpose(1, 0, 2)  # [F, M, Tc]
-        sums = np.empty((2, num_freqs, num_dirs))
-        # a chunk of a longer input stays whole: in 256-KB blocks, its many
-        # small numpy calls kept the threads waiting on the interpreter lock
-        # (on 2 CPUs, a 20-s sketch went from 105 to 170 ms)
-        blocks = _blocks(0, num_freqs, 8 * num_dirs * spec.num_frames) \
-            if t1 - t0 == spec.num_frames else [(0, num_freqs)]
-        for f0, f1 in blocks:
+        for f0, f1 in _blocks(0, num_freqs, 8 * num_dirs * (t1 - t0)):
             scale = weights[f0:f1, None, t0:t1]
             operand = np.empty((f1 - f0, 2 * num_mics, t1 - t0), dtype=np.float32)
             np.multiply(x[f0:f1].real, scale, out=operand[:, :num_mics], casting="same_kind")
             np.multiply(x[f0:f1].imag, scale, out=operand[:, num_mics:], casting="same_kind")
-            sums[:, f0:f1] = _cos_sin_sums(  # of [Fb, L, Tc] phases
+            sums[:, f0:f1] += _cos_sin_sums(  # of [Fb, L, Tc] phases
                 probes[f0:f1] @ operand, None if mask is None else mask[f0:f1, None, t0:t1])
-        return sums
-
-    parts = _map_chunks(chunk_sums, spec.num_frames, 8 * num_freqs * num_dirs, _CHUNK_BYTES)
-    cos_sum, sin_sum = sum(parts)  # in chunk order, so the sums do not depend on threads
+    cos_sum, sin_sum = sums
     mag = np.hypot(cos_sum, sin_sum) / np.maximum(kept.sum(axis=1), 1)[:, None]  # [F, L]
     if not np.all(np.isfinite(mag)):
         raise ParameterError("the weighted observations overflow the float32 sketch")

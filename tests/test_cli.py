@@ -720,7 +720,7 @@ class TestSweep:
                      "--axis", "snr_db", "--values", "5,20", "--count", "2",
                      "--methods", "shamans,music-1", "--out", str(out)])
 
-    def test_row_count_and_determinism(self, small_config, tmp_path, no_threads):
+    def test_row_count_and_determinism(self, small_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
         assert self.run_sweep(small_config, out1) == 0
         assert self.run_sweep(small_config, out2) == 0
@@ -730,7 +730,7 @@ class TestSweep:
         assert len(rows) - 1 == 2 * 2 * 2  # values x count x methods
         assert (out1 / "summary.csv").exists()
 
-    def test_negative_values_sweep(self, small_config, tmp_path, no_threads):
+    def test_negative_values_sweep(self, small_config, tmp_path):
         out = tmp_path / "neg"
         assert main(["sweep", "--config", str(small_config), "--axis", "snr_db",
                      "--values=-5,20", "--count", "1", "--methods", "music-1",
@@ -768,7 +768,7 @@ class TestSweep:
         assert "--axis" in err and "--values" in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_report_aggregates(self, small_config, tmp_path, no_threads):
+    def test_report_aggregates(self, small_config, tmp_path):
         out = tmp_path / "s"
         assert self.run_sweep(small_config, out) == 0
         summary = tmp_path / "resummary.csv"
@@ -777,8 +777,7 @@ class TestSweep:
         assert rc == 0
         assert summary.read_text() == (out / "summary.csv").read_text()
 
-    def test_partial_failure_recorded_run_continues(self, small_config, tmp_path,
-                                                    no_threads):
+    def test_partial_failure_recorded_run_continues(self, small_config, tmp_path):
         # sh artifact path pointing nowhere: those rows carry an error
         # status while the ref rows still complete
         import json
@@ -801,7 +800,7 @@ class TestSweep:
         assert all(s.startswith("sv-error") for s in by_model["sh"])
 
     def test_unexpected_method_error_becomes_row(self, small_config, tmp_path,
-                                                 monkeypatch, no_threads):
+                                                 monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
 
@@ -822,7 +821,7 @@ class TestSweep:
         ("algebraic_svs", "sv-error", {"alg"}),
     ])
     def test_unexpected_step_error_becomes_rows(self, small_config, tmp_path,
-                                                monkeypatch, no_threads, capsys, step,
+                                                monkeypatch, capsys, step,
                                                 status, failed_models):
         def broken(*args, **kwargs):
             raise RuntimeError("boom")
@@ -845,7 +844,7 @@ class TestSweep:
         assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_field_and_sv_sets_built_once_per_sweep(self, artifact_config, tmp_path,
-                                                   monkeypatch, no_threads):
+                                                   monkeypatch):
         calls = {}
 
         def counted(name):
@@ -866,7 +865,7 @@ class TestSweep:
         rows = read_rows(out / "detail.csv")
         assert len(rows) == 3 * 3 and all(r["status"] == "ok" for r in rows)
 
-    def test_in_run_fits_compare_both_interpolators(self, tmp_path, monkeypatch, no_threads):
+    def test_in_run_fits_compare_both_interpolators(self, tmp_path, monkeypatch):
         # default config, no sv.path: sh and nslite are fitted to the sweep's
         # own ref, which is built once (before: exit 4, "sv.path needed")
         builds = []
@@ -884,7 +883,7 @@ class TestSweep:
         (25, "requested 25 measurements, set has 24"),
     ])
     def test_in_run_fit_off_the_grid_becomes_rows(self, small_config, tmp_path, capsys,
-                                                  no_threads, n_sv, message):
+                                                  n_sv, message):
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(with_n_sv(small_config, tmp_path, n_sv)),
                      "--count", "2", "--methods", "music-1", "--sv-models", "ref,sh,nslite",
@@ -894,8 +893,7 @@ class TestSweep:
                                    else f"sv-error: {message}")
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_non_integer_music_rank_becomes_row(self, small_config, tmp_path, capsys,
-                                                no_threads):
+    def test_non_integer_music_rank_becomes_row(self, small_config, tmp_path, capsys):
         # before: "error: ValueError: invalid literal ..." and a traceback
         out = tmp_path / "o"
         assert main(["sweep", "--config", str(small_config), "--count", "1",
@@ -916,8 +914,7 @@ class TestSweep:
         lambda text: re.sub(r"\n(scene_\d+,snr_db,[^,]+,[^,]+,[^,]+),1,",
                             r"\n\1,one,", text, count=1),
     ])
-    def test_report_rejects_a_file_not_a_detail_csv(self, small_config, tmp_path,
-                                                    no_threads, capsys, edit):
+    def test_report_rejects_a_file_not_a_detail_csv(self, small_config, tmp_path, capsys, edit):
         # before: a KeyError or ValueError traceback (rc 1)
         out = tmp_path / "s"
         assert self.run_sweep(small_config, out) == 0
@@ -929,8 +926,7 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"{bad}:" in err and "Traceback" not in err
 
-    def test_sv_model_mismatch_becomes_rows(self, artifact_config, sh_artifact, tmp_path,
-                                            no_threads):
+    def test_sv_model_mismatch_becomes_rows(self, artifact_config, sh_artifact, tmp_path):
         out = tmp_path / "mismatch"
         assert main(["sweep", "--config", str(artifact_config), "--count", "2",
                      "--methods", "music-1", "--sv-models", "ref,nslite,foo",

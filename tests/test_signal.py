@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from shamans.signal import (
     AudioBuffer,
     Spectrogram,
     StftParams,
-    _map_chunks,
+    _chunks,
     hann_periodic,
     read_wav,
     stft,
@@ -298,7 +299,7 @@ class TestChunkedStft:
 
     FRAME, HOP, CHANNELS = 64, 32, 3
     CHUNK = 3  # frames per chunk under the patched budget below
-    INLINE = signal._MAX_THREADS * CHUNK  # most frames done in one inline call
+    INLINE = signal._CHUNKS_PER_BUDGET * CHUNK  # most frames done in one inline call
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
@@ -327,39 +328,21 @@ class TestChunkedStft:
         assert np.array_equal(stft(audio, self.FRAME, self.HOP, 5000.0).bins,
                               seed_stft_bins(audio, self.FRAME, self.HOP, 5000.0))
 
-    def test_same_bits_on_any_thread_count(self, thread_counts):
-        audio = self.audio(9 * self.CHUNK + 1, seed=1)
-        serial, threaded, pools = thread_counts(
-            lambda: stft(audio, self.FRAME, self.HOP, 5000.0).bins)
-        assert pools == {"1": [], "4": [4]}
-        assert np.array_equal(serial, threaded)
 
-
-def test_input_within_budget_starts_no_thread(no_threads):
+def test_input_within_budget_starts_no_thread(monkeypatch):
+    # a 1-s input is transformed in one inline chunk
+    spy = mock.Mock(wraps=_chunks)
+    monkeypatch.setattr(signal, "_chunks", spy)
     audio = AudioBuffer(np.random.default_rng(5).standard_normal((6, 48000)), 48000)
     assert stft(audio, 768, 384, 8000.0).num_frames == 124
+    spy.assert_called_once()
+    assert _chunks(*spy.call_args.args) == [(0, 124)]
 
 
-def test_map_chunks_covers_range_in_order(thread_counts):
-    serial, threaded, pools = thread_counts(
-        lambda: _map_chunks(lambda a, b: (a, b), 10, 3, 8))
-    # chunks of 8 // 4 // 3 -> 1 item each, in order, on any thread count
-    assert serial == threaded == [(i, i + 1) for i in range(10)]
-    assert pools == {"1": [], "4": [4]}
-    assert _map_chunks(lambda a, b: (a, b), 10, 3, 30) == [(0, 10)]
-
-
-@pytest.mark.parametrize("cap, workers", [("1", 1), ("0", 1), ("64", 8), ("", 8)])
-def test_num_workers_rule(monkeypatch, cap, workers):
-    monkeypatch.setattr(signal.os, "cpu_count", lambda: 8)
-    monkeypatch.setenv("SHAMANS_THREADS", cap)
-    assert signal._num_workers() == workers
-
-
-def test_num_workers_rejects_non_integer_cap(monkeypatch):
-    monkeypatch.setenv("SHAMANS_THREADS", "many")
-    with pytest.raises(ParameterError, match="SHAMANS_THREADS"):
-        signal._num_workers()
+def test_chunks_cover_range_in_order():
+    # chunks of 8 // 4 // 3 -> 1 item each, in order
+    assert _chunks(10, 3, 8) == [(i, i + 1) for i in range(10)]
+    assert _chunks(10, 3, 30) == [(0, 10)]
 
 
 def test_peak_memory_within_output_plus_budget():

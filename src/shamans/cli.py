@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, scenes
-from .baselines import music_spectrum, srp_phat_spectrum
+from .baselines import music_spectrum, music_subspaces, phat_covariances, srp_phat_spectrum
 from .errors import EXIT_IO, FormatError, ParameterError, ShamansError, ShapeError
 from .interp import (
     CoordNetConfig,
@@ -42,7 +42,7 @@ from .scenes import (
     synthetic_measured_svs,
 )
 from .signal import StftParams, read_wav, stft
-from .stable import SolverConfig, shamans_localize
+from .stable import SolverConfig, scene_stage, sv_stage
 from .steering import (
     ArrayGeometry,
     DoaGrid,
@@ -309,10 +309,43 @@ def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
     return interp_svs(fitted, grid, params.freqs_hz)
 
 
-def run_method(method: str, spectrogram, svs, config: dict):
-    """Dispatch a localizer; returns (normalized values, method tag, info)."""
+class SceneStages:
+    """The stages of each method that depend on one spectrogram alone,
+    built on first use and kept for every SV set: the shamans scene stage
+    (``stable.scene_stage``), the MUSIC subspaces and the PHAT covariances.
+    A failed build is kept too and raised again for each later use, so it
+    costs every row that needs it, with one text."""
+
+    def __init__(self, spectrogram, config: dict):
+        self._build = {
+            "shamans": lambda: scene_stage(spectrogram, SolverConfig(**config["solver"])),
+            "music": lambda: music_subspaces(spectrogram),
+            "srp-phat": lambda: phat_covariances(spectrogram),
+        }
+        self._built = {}
+
+    def __getitem__(self, name: str):
+        if name not in self._built:
+            try:
+                self._built[name] = (self._build[name](), None)
+            except Exception as exc:
+                self._built[name] = (None, (exc, exc.__traceback__))
+        value, failure = self._built[name]
+        if failure is not None:
+            raise failure[0].with_traceback(failure[1])
+        return value
+
+
+def run_method(method: str, spectrogram, svs, config: dict,
+               stages: SceneStages | None = None):
+    """Dispatch a localizer; returns (normalized values, method tag, info).
+    ``stages`` holds the spectrogram's stages shared between calls (a sweep
+    passes one per scene to every SV model); without it they are built for
+    this call."""
+    if stages is None:
+        stages = SceneStages(spectrogram, config)
     if method == "shamans":
-        measure = shamans_localize(spectrogram, svs, SolverConfig(**config["solver"]))
+        measure = sv_stage(stages["shamans"], svs)
         return evaluate.minmax_normalize(measure.upsilon), "shamans", measure.info
     if method.startswith("music-"):
         try:
@@ -320,10 +353,10 @@ def run_method(method: str, spectrogram, svs, config: dict):
         except ValueError:
             raise ParameterError(f"method {method!r}: the MUSIC subspace rank "
                                  "must be an integer") from None
-        spectrum = music_spectrum(spectrogram, svs, subspace_rank=rank)
+        spectrum = music_spectrum(spectrogram, svs, rank, stages["music"])
         return evaluate.minmax_normalize(spectrum.values), spectrum.method_tag, {}
     if method == "srp-phat":
-        spectrum = srp_phat_spectrum(spectrogram, svs)
+        spectrum = srp_phat_spectrum(spectrogram, svs, stages["srp-phat"])
         return evaluate.minmax_normalize(spectrum.values), spectrum.method_tag, {}
     raise ParameterError(f"unknown method {method!r}")
 
@@ -378,8 +411,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _localize_once(config, spectrogram, svs, truth, method):
-    values, tag, info = run_method(method, spectrogram, svs, config)
+def _localize_once(config, spectrogram, svs, truth, method, stages=None):
+    values, tag, info = run_method(method, spectrogram, svs, config, stages)
     peaks = evaluate.pick_peaks(values, **config["peaks"])
     result = {"values": values, "tag": tag, "info": info, "peaks": peaks}
     if truth is not None and truth.indices.size > 0:
@@ -477,7 +510,10 @@ def cmd_sweep(args) -> int:
     # without sv.path is fitted to it. A failing step costs the rows it
     # would have produced, never the sweep: the field every row, a scene's
     # synthesis that scene's rows, an SV set its model's rows, a method one
-    # row.
+    # row. Each scene's SV-independent stages (alpha and the p-norm
+    # weights, the MUSIC subspaces, the PHAT covariances) are built once,
+    # on first use, and shared by every SV model; a failed one fails the
+    # rows of its method, for every SV model.
     field_status, svsets = None, {}
     try:
         params = build_stft_params(config)
@@ -502,6 +538,7 @@ def cmd_sweep(args) -> int:
         if status is None:
             try:
                 spectrogram, truth = synth_scene(spec, ref, params)
+                stages = SceneStages(spectrogram, config)
             except Exception as exc:
                 status = _fault_status("scene-error", exc)
         for sv_model in sv_models:
@@ -511,7 +548,7 @@ def cmd_sweep(args) -> int:
                     rows.append(row(method, sv_model, status=svs))
                     continue
                 try:
-                    res = _localize_once(config, spectrogram, svs, truth, method)
+                    res = _localize_once(config, spectrogram, svs, truth, method, stages)
                     rows.append(row(method, sv_model, n_est=len(res["peaks"]),
                                     errors_deg=res.get("errors_deg", []),
                                     acc15=res.get("acc15")))

@@ -48,6 +48,8 @@ _BLOCK_BYTES = 256 * 2**10
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
 _MAG_FLOOR = 1e-300
 _LEVY_CEIL = -2.0 * math.log(_MAG_FLOOR) * (1.0 - 1e-12)
+# the smallest normal float32; the solver zeroes operand entries below it
+_TINY32 = float(np.finfo(np.float32).tiny)
 
 
 @dataclass
@@ -420,6 +422,16 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     iteration's two matrix-vector passes stream, and the solver holds one
     vector of Psi's dtype (and i_hat rounded to it), never a second Psi.
 
+    A float32 operand of Psi ups has its subnormal entries (|u| below
+    float32's smallest normal, about 1.2e-38) set to 0: a measure whose
+    directions no row supports decays to 1e-85 and below, and every
+    product on a subnormal operand pays CPU microcode assists (on the
+    ``sh`` SVs of a sweep scene a 500-iteration solve took 47 ms, and 30
+    ms with them zeroed). Such an entry adds at
+    most about 1e-38 times a Psi entry to a row, which the 1e-12 floor or
+    the row's own rounding absorbs, so the measure keeps its bits; the
+    float64 ``ups`` is never changed.
+
     Psi is used column-major: OpenBLAS splits the transposed product
     Psi^T r across threads far better in that layout (the same sums in
     another order, about a third less time with two threads).
@@ -437,10 +449,14 @@ def multiplicative_update(sketch: LevySketch, config: SolverConfig,
     i_hat = sketch.i_hat.astype(psi.dtype, copy=False)
     ratio = np.empty(num_rows, dtype=psi.dtype)  # Psi ups, then r in place
     late_start = config.iterations - max(1, config.iterations // 10)
+    flush = psi.dtype == np.float32
     for it in range(config.iterations):
         if it == late_start:
             ups_late = ups.copy()
-        np.matmul(psi, ups.astype(psi.dtype, copy=False), out=ratio)
+        operand = ups.astype(psi.dtype, copy=False)  # ups itself if float64
+        if flush:
+            operand[np.abs(operand) < _TINY32] = 0.0
+        np.matmul(psi, operand, out=ratio)
         np.maximum(ratio, 1e-12, out=ratio)
         np.divide(i_hat, ratio, out=ratio)
         ups = ups * (psi.T @ ratio) / den
@@ -466,31 +482,36 @@ def kl_sparse_objective(sketch: LevySketch, upsilon: np.ndarray,
 
 @contextlib.contextmanager
 def _timed(timings: dict, stage: str):
-    """Record the wall time of the ``with`` body in ``timings[stage]`` (ms)."""
+    """Add the wall time of the ``with`` body to ``timings[stage]`` (ms)."""
     start = time.perf_counter()
     try:
         yield
     finally:
-        timings[stage] = 1e3 * (time.perf_counter() - start)
+        timings[stage] = timings.get(stage, 0.0) + 1e3 * (time.perf_counter() - start)
 
 
-def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
-                     config: SolverConfig | None = None) -> SpatialMeasure:
-    """End-to-end alpha-stable localization over the SV grid.
+@dataclass
+class SceneStage:
+    """The part of the shamans chain that depends on the spectrogram alone,
+    shared by every SV set it is localized with.
 
-    Estimates alpha from the raw mixture, weighs the retained TF vectors by
-    their p-norm (``_p_weights``; no normalized copy of the bins is made),
-    normalizes the steering vectors, sketches the Lévy exponents in float32
-    and runs the multiplicative updates on a float32 Psi (``build_psi``
-    rounds the float64 coherences once); the weights, the estimates and the
-    measure are float64. The DC bin and any bin missing from the SV set's
-    frequency axis never enter the sketch.
-    ``info["masked_bins"]`` counts the retained TF vectors of weight 0,
-    which the sketch leaves out. ``info["psi_dtype"]`` names the solve's
-    precision, and ``info["timings_ms"]`` holds the wall time of the stages
-    ``alpha``, ``normalize`` (band, weights and SVs), ``sketch``, ``psi``
-    and ``solve``.
+    ``weights`` [F, T] holds the p-norm weight of every TF vector of
+    ``spec`` (``_p_weights``; DC included, which the SV stage leaves out),
+    and ``timings`` the wall time (ms) of ``alpha`` and of the weights, as
+    the first part of ``normalize``.
     """
+
+    spec: Spectrogram
+    config: SolverConfig
+    alpha: AlphaParam
+    weights: np.ndarray
+    timings: dict
+
+
+def scene_stage(spec: Spectrogram, config: SolverConfig | None = None) -> SceneStage:
+    """Estimate alpha from the raw mixture, check that ``p_norm`` lies below
+    it, and weigh every TF vector of ``spec`` by its p-norm (no normalized
+    copy of the bins is made)."""
     config = config or SolverConfig()
     timings = {}
     with _timed(timings, "alpha"):
@@ -498,12 +519,34 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
     if config.p_norm >= alpha.alpha:
         raise ParameterError(
             f"p = {config.p_norm} must be below the estimated alpha = {alpha.alpha:.3f}")
+    with _timed(timings, "normalize"):
+        weights = _p_weights(spec.bins, config.p_norm)
+    return SceneStage(spec=spec, config=config, alpha=alpha, weights=weights,
+                      timings=timings)
 
+
+def sv_stage(scene: SceneStage, svs: SteeringVectorSet) -> SpatialMeasure:
+    """The measure of one scene stage over one SV set's grid.
+
+    Takes the band of ``scene.spec`` that the SV set covers (every bin but
+    DC; ``match_freq_band``) with its weights, normalizes the steering
+    vectors, sketches the Lévy exponents in float32 and runs the
+    multiplicative updates on a float32 Psi (``build_psi`` rounds the
+    float64 coherences once); the weights, the estimates and the measure
+    are float64. ``info`` records the scene stage's alpha and config, the
+    retained bins and frames, ``masked_bins`` (the retained TF vectors of
+    weight 0, which the sketch leaves out), ``levy_clamped``, ``psi_dtype``
+    (the solve's precision) and ``timings_ms``: ``alpha``, ``normalize``
+    (the scene stage's weights, then the band and the SVs), ``sketch``,
+    ``psi`` and ``solve``.
+    """
+    spec, config, alpha = scene.spec, scene.config, scene.alpha
+    timings = dict(scene.timings)
     with _timed(timings, "normalize"):
         band, sv_idx = match_freq_band(spec.freqs_hz, svs.freqs_hz)
         sub_spec = _unchecked(spec, bins=spec.bins[:, band, :],
                               first_bin=spec.first_bin + band.start)
-        weights = _p_weights(sub_spec.bins, config.p_norm)
+        weights = scene.weights[band]
         sub_svs = _unchecked(svs, values=svs.values[:, :, sv_idx],
                              freqs_hz=svs.freqs_hz[sv_idx])
         tilde = normalize_svs(sub_svs)
@@ -526,3 +569,14 @@ def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
         "timings_ms": timings,
     })
     return measure
+
+
+def shamans_localize(spec: Spectrogram, svs: SteeringVectorSet,
+                     config: SolverConfig | None = None) -> SpatialMeasure:
+    """End-to-end alpha-stable localization over the SV grid: the scene
+    stage (``scene_stage``: alpha, the p-norm check and the weights) and
+    then the SV stage (``sv_stage``: band, normalized SVs, sketch, Psi and
+    solve). A caller localizing one spectrogram with several SV sets builds
+    the scene stage once and runs ``sv_stage`` for each.
+    """
+    return sv_stage(scene_stage(spec, config), svs)

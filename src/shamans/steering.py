@@ -166,13 +166,28 @@ def free_field(geometry: ArrayGeometry, positions: np.ndarray,
                freqs_hz: np.ndarray) -> np.ndarray:
     """Free-field Green's function from source positions [N, 3] to every
     microphone, [N, M, F]: exp(-i 2 pi f r / c) / (4 pi r) with r the
-    source-microphone distance."""
+    source-microphone distance.
+
+    It is taken in real arithmetic, in the operations numpy's complex
+    formula performs: there a real factor promoted to complex leaves the
+    phase ((-2 pi) r) f (1/c) (complex division by a real multiplies by
+    its reciprocal), and the exponential of a purely imaginary phase is
+    its cos and sin, each times 1/(4 pi r). So the values are the complex
+    formula's, bit for bit, without its complex exponential and division.
+    """
     diff = positions[:, None, :] - geometry.mic_positions[None, :, :]
     r = np.linalg.norm(diff, axis=-1)  # [N, M]
     if np.any(r == 0):
         raise GeometryError("a source position coincides with a microphone")
-    phase = -2.0j * np.pi * r[:, :, None] * freqs_hz[None, None, :] / SPEED_OF_SOUND
-    return np.exp(phase) / (4.0 * np.pi * r[:, :, None])
+    phase = ((-2.0 * np.pi) * r)[:, :, None] * freqs_hz[None, None, :]
+    phase *= 1.0 / SPEED_OF_SOUND
+    gain = 1.0 / ((4.0 * np.pi) * r)[:, :, None]
+    out = np.empty(phase.shape, dtype=np.complex128)
+    np.cos(phase, out=out.real)
+    out.real *= gain
+    np.sin(phase, out=out.imag)
+    out.imag *= gain
+    return out
 
 
 def algebraic_svs(geometry: ArrayGeometry, grid: DoaGrid, freqs_hz) -> SteeringVectorSet:

@@ -7,7 +7,12 @@ import pytest
 
 from shamans import cli
 from shamans.errors import ParameterError
-from shamans.baselines import music_spectrum, srp_phat_spectrum
+from shamans.baselines import (
+    music_spectrum,
+    music_subspaces,
+    phat_covariances,
+    srp_phat_spectrum,
+)
 from shamans.scenes import SceneSpec, synth_scene
 from shamans.signal import Spectrogram, StftParams
 from shamans.steering import (
@@ -216,3 +221,40 @@ class TestBatchedEquivalence:
         svs = SteeringVectorSet(values, svs.grid, svs.freqs_hz)
         out = srp_phat_spectrum(zeroed, svs).values
         assert np.max(np.abs(out - srp_einsum_oracle(zeroed, svs))) <= 1e-12
+
+
+class TestSceneStacks:
+    """One [F, M, M] stack per spectrogram, over all its bins, serves every
+    MUSIC rank and every SV set; each reads its band through
+    ``match_freq_band``."""
+
+    def test_stacks_cover_every_bin(self, config_scenes):
+        specs, _ = config_scenes
+        sg = specs[0]
+        m = sg.num_channels
+        vecs, cov = music_subspaces(sg), phat_covariances(sg)
+        assert vecs.shape == cov.shape == (sg.num_freqs, m, m)
+        for f in (0, sg.num_freqs - 1):  # DC and the top bin
+            x = sg.bins[:, f, :]
+            want = x @ x.conj().T / sg.num_frames + 1e-12 * np.eye(m)
+            back = vecs[f] @ np.diag(np.linalg.eigvalsh(want)) @ vecs[f].conj().T
+            assert np.allclose(back, want, rtol=0.0, atol=1e-9 * np.abs(want).max())
+            white = np.where(x != 0, x / np.where(x != 0, np.abs(x), 1.0), 0.0)
+            assert np.allclose(cov[f], white @ white.conj().T)
+
+    def test_shared_stacks_give_the_spectra_bit_for_bit(self, config_scenes):
+        specs, svsets = config_scenes
+        for sg in specs:
+            vecs, cov = music_subspaces(sg), phat_covariances(sg)
+            for svs in svsets.values():
+                for rank in range(1, sg.num_channels):
+                    assert np.array_equal(music_spectrum(sg, svs, rank, vecs).values,
+                                          music_spectrum(sg, svs, rank).values)
+                assert np.array_equal(srp_phat_spectrum(sg, svs, cov).values,
+                                      srp_phat_spectrum(sg, svs).values)
+
+    def test_phat_stack_needs_two_channels(self):
+        sg, _, _ = setup_scene(3, [5])
+        mono = Spectrogram(sg.bins[:1], sg.sample_rate, sg.frame_size, sg.hop)
+        with pytest.raises(ParameterError, match="at least two channels"):
+            phat_covariances(mono)

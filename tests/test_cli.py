@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shamans import cli, errors, scenes
+from shamans import cli, errors, scenes, stable
 from shamans.cli import DEFAULT_CONFIG, load_config, main
 from shamans.interp import interp_error_report, interp_svs, load_fit_artifact
 from shamans.steering import load_svset, read_svset_raw, write_svset_raw
@@ -939,6 +939,91 @@ class TestSweep:
                          "nslite": f"sv-error: {sh_artifact} is an 'sh' fit artifact, "
                                    "not 'nslite'",
                          "foo": "sv-error: unknown sv model 'foo'"}[sv_model]
+
+
+class TestSceneStagesInSweeps:
+    """A sweep builds each scene's SV-independent stages once and shares
+    them with every SV model; the rows are those of one sweep per model."""
+
+    METHODS = "shamans,music-1,music-3,srp-phat"
+
+    @pytest.fixture
+    def config(self, small_config, tmp_path):
+        """The shared config with an in-run sh fit from 12 of its 24 cells."""
+        return with_n_sv(small_config, tmp_path, 12)
+
+    @staticmethod
+    def sweep(config, out, sv_models, methods=METHODS, count=3):
+        assert main(["sweep", "--config", str(config), "--count", str(count),
+                     "--methods", methods, "--sv-models", sv_models,
+                     "--out", str(out)]) == 0
+        return read_rows(out / "detail.csv")
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, calls):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    def test_stages_built_once_per_scene(self, config, tmp_path, monkeypatch):
+        # one sweep of 3 scenes x 3 SV models: each stage was built once
+        # per (scene, SV model) before, and eigh once per MUSIC rank too
+        calls = {}
+        self.count_calls(monkeypatch, stable, "estimate_alpha", calls)
+        self.count_calls(monkeypatch, np.linalg, "eigh", calls)
+        self.count_calls(monkeypatch, cli, "phat_covariances", calls)
+        rows = self.sweep(config, tmp_path / "o", "ref,alg,sh")
+        assert len(rows) == 3 * 3 * 4 and all(r["status"] == "ok" for r in rows)
+        assert calls == {"estimate_alpha": 3, "eigh": 3, "phat_covariances": 3}
+
+    def test_rows_match_one_sweep_per_sv_model(self, config, tmp_path):
+        rows = self.sweep(config, tmp_path / "all", "ref,alg,sh", count=2)
+        assert all(r["status"] == "ok" for r in rows)
+        lines = (tmp_path / "all" / "detail.csv").read_text().splitlines()
+        for model in ("ref", "alg", "sh"):
+            self.sweep(config, tmp_path / model, model, count=2)
+            mine = [line for line, r in zip(lines[1:], rows) if r["sv_model"] == model]
+            assert len(mine) == 2 * 4
+            alone = (tmp_path / model / "detail.csv").read_text().splitlines()
+            assert alone == lines[:1] + mine
+
+    def test_p_not_below_alpha_fails_shamans_rows_only(self, config, tmp_path,
+                                                       monkeypatch):
+        cfg = json.loads(Path(config).read_text())
+        cfg["solver"]["p_norm"] = 1.99
+        path = tmp_path / "p199.json"
+        path.write_text(json.dumps(cfg))
+        calls = {}
+        self.count_calls(monkeypatch, stable, "estimate_alpha", calls)
+        rows = self.sweep(path, tmp_path / "o", "ref,alg,sh", count=2)
+        assert calls == {"estimate_alpha": 2}  # the failure is kept, not rebuilt
+        for scene in ("scene_00000", "scene_00001"):
+            status = {(r["method"], r["sv_model"]): r["status"]
+                      for r in rows if r["scene_id"] == scene}
+            shamans = {status.pop(("shamans", m)) for m in ("ref", "alg", "sh")}
+            assert len(shamans) == 1
+            assert re.fullmatch(r"error: p = 1\.99 must be below the estimated "
+                                r"alpha = 1\.\d{3}", shamans.pop())
+            assert set(status.values()) == {"ok"} and len(status) == 3 * 3
+
+    def test_unexpected_stage_error_costs_its_method_rows(self, config, tmp_path,
+                                                          monkeypatch, capsys):
+        calls = {}
+
+        def broken(spectrogram):
+            calls["phat"] = calls.get("phat", 0) + 1
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "phat_covariances", broken)
+        rows = self.sweep(config, tmp_path / "o", "ref,alg", count=2)
+        assert calls == {"phat": 2}
+        for r in rows:
+            want = "error: RuntimeError: boom" if r["method"] == "srp-phat" else "ok"
+            assert r["status"] == want
+        assert capsys.readouterr().err.count("RuntimeError: boom") == 2 * 2
 
 
 class TestSimulate:

@@ -329,7 +329,7 @@ class TestChunkedStft:
                               seed_stft_bins(audio, self.FRAME, self.HOP, 5000.0))
 
 
-def test_input_within_budget_starts_no_thread(monkeypatch):
+def test_input_within_budget_is_one_inline_chunk(monkeypatch):
     # a 1-s input is transformed in one inline chunk
     spy = mock.Mock(wraps=_chunks)
     monkeypatch.setattr(signal, "_chunks", spy)

@@ -31,7 +31,9 @@ from shamans.stable import (
     multiplicative_update,
     sample_elliptic,
     sample_sas,
+    scene_stage,
     shamans_localize,
+    sv_stage,
 )
 from shamans.steering import (
     ArrayGeometry,
@@ -736,11 +738,11 @@ class TestBlockedScratch:
         assert peak < 8e6
 
 
-class TestThreadedFrontEnd:
+class TestInlineChunkAndAlphaMemory:
     """A 1-s scene is sketched in one inline chunk, and the alpha estimate's
     memory does not grow with the input."""
 
-    def test_one_second_scene_starts_no_thread(self, monkeypatch):
+    def test_one_second_scene_is_one_inline_chunk(self, monkeypatch):
         _, params, svs = make_scene_setup(seed=9)
         sg, _ = synth_scene(SceneSpec(source_indices=[5, 30], seed=10, snr_db=20.0),
                             svs, params)
@@ -863,6 +865,24 @@ def seed_multiplicative_update(sketch, config):
         den = psi.sum(axis=0) + config.sparsity_lambda
         ups = ups * num / np.maximum(den, 1e-300)
     return ups
+
+
+def unflushed_multiplicative_update(sketch, config):
+    """Reference: the solver loop in Psi's dtype with its float32 operand
+    taken as cast, subnormals included; also returns the number of
+    iterations whose operand held a subnormal."""
+    psi = np.asfortranarray(sketch.psi)
+    tiny = np.finfo(np.float32).tiny
+    ups = np.ones(psi.shape[1])
+    den = np.maximum(psi.sum(axis=0, dtype=np.float64) + config.sparsity_lambda, 1e-300)
+    i_hat = sketch.i_hat.astype(psi.dtype)
+    subnormal_iterations = 0
+    for _ in range(config.iterations):
+        operand = ups.astype(psi.dtype)
+        subnormal_iterations += bool(np.any((operand != 0) & (np.abs(operand) < tiny)))
+        ratio = i_hat / np.maximum(psi @ operand, psi.dtype.type(1e-12))
+        ups = ups * (psi.T @ ratio) / den
+    return ups, subnormal_iterations
 
 
 class TestMultiplicativeUpdate:
@@ -1003,6 +1023,23 @@ class TestMultiplicativeUpdate:
             LevySketch(sketch.i_hat, psi, sketch.alpha, sketch.num_freqs), cfg).upsilon
         assert got.dtype == np.float64
         assert np.array_equal(got, ups)
+
+    @pytest.mark.parametrize("num_dirs, num_freqs, scale", [(8, 16, 1e-3),
+                                                            (60, 128, 1e-5)])
+    def test_measure_below_float32_normal_keeps_bits(self, num_dirs, num_freqs, scale):
+        # direction 6 keeps a small fraction of its coherence, so no row
+        # needs it: its mass decays through float32's subnormals to 1e-130
+        # and below, and the zeroed subnormal operands change no bit of the
+        # measure
+        sketch, ups_true = random_sketch(0, num_dirs=num_dirs, num_freqs=num_freqs)
+        psi = sketch.psi.copy()
+        psi[:, 6] *= scale
+        sketch = LevySketch(psi @ ups_true, np.asfortranarray(psi.astype(np.float32)),
+                            sketch.alpha, sketch.num_freqs)
+        cfg = SolverConfig(iterations=500)
+        want, subnormal_iterations = unflushed_multiplicative_update(sketch, cfg)
+        assert subnormal_iterations > 0 and want[6] < np.finfo(np.float32).tiny
+        assert np.array_equal(multiplicative_update(sketch, cfg).upsilon, want)
 
     @pytest.mark.parametrize("beta", [0.0, 2.0])
     def test_beta_other_than_kl_rejected(self, beta):
@@ -1255,3 +1292,45 @@ class TestFloat32Equivalence:
         batch = [spec for n in range(1, 7)
                  for spec in scene_batch(base, {"n_sources": [n]}, 1, 360)]
         self.check(batch, svs, params)
+
+
+class TestSceneStage:
+    """The scene stage (alpha, the p-norm check, the weights) depends on the
+    spectrogram alone; one serves every SV set through ``sv_stage``."""
+
+    def test_one_stage_serves_every_sv_set(self):
+        grid, params, svs = make_scene_setup(seed=21, grid_size=30)
+        sg, _ = synth_scene(SceneSpec(source_indices=[4, 19], seed=22, snr_db=20.0),
+                            svs, params)
+        other = algebraic_svs(ArrayGeometry.random_array(6, 0.12, seed=23), grid,
+                              svs.freqs_hz)
+        config = SolverConfig(iterations=60)
+        stage = scene_stage(sg, config)
+        for sv_set in (svs, other, svs):
+            got, want = sv_stage(stage, sv_set), shamans_localize(sg, sv_set, config)
+            assert np.array_equal(got.upsilon, want.upsilon)
+            assert set(got.info.pop("timings_ms")) == set(want.info.pop("timings_ms"))
+            assert got.info == want.info
+
+    def test_weights_cover_every_bin(self):
+        # DC included: the SV stage takes the band it needs from them
+        _, params, svs = make_scene_setup(seed=24, grid_size=30)
+        sg, _ = synth_scene(SceneSpec(source_indices=[9], seed=25, snr_db=20.0),
+                            svs, params)
+        stage = scene_stage(sg, SolverConfig(p_norm=0.7))
+        assert stage.weights.shape == (sg.num_freqs, sg.num_frames)
+        assert np.array_equal(stage.weights, stable._p_weights(sg.bins, 0.7))
+        assert stage.alpha == estimate_alpha(sg)
+        assert set(stage.timings) == {"alpha", "normalize"}
+
+    def test_p_not_below_alpha_stops_the_scene_stage(self, monkeypatch):
+        _, params, svs = make_scene_setup(seed=26, grid_size=30)
+        sg, _ = synth_scene(SceneSpec(source_indices=[9], seed=27, snr_db=20.0),
+                            svs, params)
+        weighed = mock.Mock(wraps=stable._p_weights)
+        monkeypatch.setattr(stable, "_p_weights", weighed)
+        alpha = estimate_alpha(sg).alpha
+        with pytest.raises(ParameterError, match=f"p = 1.99 must be below the "
+                                                 f"estimated alpha = {alpha:.3f}"):
+            scene_stage(sg, SolverConfig(p_norm=1.99))
+        weighed.assert_not_called()

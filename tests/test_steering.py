@@ -22,6 +22,7 @@ from shamans.steering import (
     DoaGrid,
     SteeringVectorSet,
     algebraic_svs,
+    free_field,
     load_svset,
     match_freq_band,
     same_freq_axis,
@@ -113,6 +114,23 @@ def test_free_field_matches_seed_formula(config_path, monkeypatch):
                         seed_free_field(geom.mic_positions, positions, freqs))
     oracle = cli.build_field(config, geometry, grid, params)
     assert np.array_equal(field.coeffs, oracle.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31), num_mics=st.integers(2, 8),
+       num_points=st.integers(1, 70), num_freqs=st.integers(1, 150),
+       scale=st.floats(0.05, 20.0))
+def test_free_field_real_arithmetic_is_the_complex_formula(seed, num_mics, num_points,
+                                                          num_freqs, scale):
+    # cos and sin of the real phase, each times 1/(4 pi r), give numpy's
+    # complex exponential and division bit for bit, on any geometry
+    rng = np.random.default_rng(seed)
+    mics = rng.uniform(-0.3, 0.3, (num_mics, 3))
+    positions = scale * rng.standard_normal((num_points, 3))
+    freqs = np.sort(rng.uniform(0.0, 24000.0, num_freqs))
+    freqs[0] = 0.0  # DC
+    got = free_field(ArrayGeometry(mics), positions, freqs)
+    assert np.array_equal(got, seed_free_field(mics, positions, freqs))
 
 
 class TestNormalizeSvs:

@@ -353,25 +353,28 @@ def load_fit_artifact(path):
     path, sidecar = Path(path), Path(path).with_suffix(".json")
     values, _axis0, freqs, _radius, _elev, _tag = read_svset_raw(path)
     values = values.astype(np.complex128)
+
+    def check_rows(rows):  # before a model of that size is made
+        if values.shape[0] != rows:
+            raise FormatError(f"{sidecar}: the fit has {rows} coefficient rows, "
+                              f"{path} holds {values.shape[0]}")
+
     try:  # not UTF-8 or not JSON is a ValueError
         meta = json.loads(sidecar.read_text())
         if meta["kind"] == "sh":
-            model = ShCoefficients(values, freqs, int(meta["max_degree"]),
-                                   float(meta["ridge_lambda"]))
-            rows = num_sh_coeffs(model.max_degree)
+            max_degree = int(meta["max_degree"])
+            check_rows(num_sh_coeffs(max_degree))
+            model = ShCoefficients(values, freqs, max_degree, float(meta["ridge_lambda"]))
         elif meta["kind"] == "nslite":
             config = CoordNetConfig(int(meta["num_features"]), float(meta["feature_scale"]),
                                     float(meta["ridge_lambda"]), int(meta["seed"]))
+            check_rows(1 + 2 * config.num_features)
             model = CoordNetModel(values[:, :, 0], coordnet_features(config),
                                   np.asarray(meta["freqs_hz"], dtype=np.float64),
                                   float(meta["freq_scale"]), config)
-            rows = 1 + 2 * config.num_features
         else:
             raise FormatError(f"{sidecar}: unknown artifact kind {meta['kind']!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{sidecar}: not a fit-artifact sidecar "
                           f"({type(exc).__name__}: {exc})") from exc
-    if values.shape[0] != rows:
-        raise FormatError(f"{sidecar}: the fit has {rows} coefficient rows, "
-                          f"{path} holds {values.shape[0]}")
     return model

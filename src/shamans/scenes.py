@@ -217,6 +217,8 @@ def place_sources(rng: np.random.Generator, num_cells: int, n_sources: int,
     """Random distinct grid indices with pairwise circular separation."""
     if n_sources == 0:
         return []
+    if n_sources > num_cells:
+        raise SceneSpecError(f"cannot place {n_sources} sources on {num_cells} grid cells")
     for _ in range(max_tries):
         cand = sorted(rng.choice(num_cells, size=n_sources, replace=False).tolist())
         if _close_pair(cand, num_cells, min_sep_cells) is None:

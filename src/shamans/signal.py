@@ -18,24 +18,15 @@ from .errors import FormatError, ParameterError, TruncationError
 _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
-# bytes of scratch per streamed pass over a long input (the STFT and the
-# Lévy sketch): within it a pass runs as one inline call, beyond it in
-# chunks of 1/_CHUNKS_PER_BUDGET of it (4 MB, near the fastest size)
-_CHUNK_BYTES = 16 * 2**20
-_CHUNKS_PER_BUDGET = 4
+# bytes of scratch per chunk of frames of the STFT (near the fastest size)
+_STFT_BYTES = 4 * 2**20
 
 
-def _chunks(total: int, unit_bytes: int, budget: int) -> list:
-    """Consecutive ``(start, stop)`` ranges covering ``range(total)``.
-
-    If the whole range needs at most ``budget`` bytes of scratch
-    (``unit_bytes`` per item), it is one range ``(0, total)``. Otherwise
-    each range holds ``budget // _CHUNKS_PER_BUDGET`` bytes (and at least
-    one item). The edges depend only on the arguments.
-    """
-    if total * unit_bytes <= budget:
-        return [(0, total)]
-    step = max(1, budget // _CHUNKS_PER_BUDGET // unit_bytes)
+def _blocks(total: int, unit_bytes: int, budget: int) -> list:
+    """Consecutive ``(start, stop)`` ranges covering ``range(total)``, each
+    of at most ``budget`` bytes of scratch at ``unit_bytes`` per item (and
+    at least one item). The edges depend only on the arguments."""
+    step = max(1, budget // unit_bytes)
     return [(s, min(s + step, total)) for s in range(0, total, step)]
 
 
@@ -243,8 +234,10 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
     """Windowed one-sided STFT, keeping only bins at or below ``f_max_hz``.
 
     Frames are taken without padding, so T = floor((S - frame_size)/hop) + 1.
-    A long signal is transformed in chunks of frames (see ``_chunks``), one
-    after another, each writing its kept bins into the [M, F, T] output.
+    Frames are transformed in chunks of at most ``_STFT_BYTES`` of scratch
+    (see ``_blocks``), one after another, each writing its kept bins into
+    the [M, F, T] output. Every frame is transformed alone, so the chunk
+    edges do not change a bit.
     """
     StftParams(frame_size, hop, f_max_hz, audio.sample_rate)  # checks the settings
     if audio.num_samples < frame_size:
@@ -266,7 +259,7 @@ def stft(audio: AudioBuffer, frame_size: int = 768, hop: int = 384,
 
     # scratch per frame: the windowed frame and its full one-sided spectrum
     unit_bytes = audio.num_channels * (8 * frame_size + 16 * (frame_size // 2 + 1))
-    for t0, t1 in _chunks(num_frames, unit_bytes, _CHUNK_BYTES):
+    for t0, t1 in _blocks(num_frames, unit_bytes, _STFT_BYTES):
         spectra = np.fft.rfft(frames[:, t0:t1] * window, axis=-1)  # [M, Tc, F_full]
         bins[:, :, t0:t1] = spectra[:, :, :num_keep].transpose(0, 2, 1)
         del spectra  # freed before the next chunk's are made

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ParameterError, ShapeError
-from .signal import _CHUNK_BYTES, Spectrogram, _chunks
+from .signal import Spectrogram, _blocks
 from .steering import (
     DoaGrid,
     NormalizedSVSet,
@@ -38,11 +38,8 @@ _ALPHA_MIN, _ALPHA_MAX = 0.4, 2.0
 # the alpha estimate reads every s-th TF sample, s chosen so that at most
 # this many are read: a 2-s scene is read whole
 _ALPHA_SAMPLES = 2**15
-# the sketch cuts a long input into chunks of frames by this module's copy
-# of _CHUNK_BYTES, bound at import and read at call time (so a patch of
-# signal._CHUNK_BYTES does not reach it); Psi, the p-norm weights and every
-# chunk of the sketch work in blocks of at most _BLOCK_BYTES of scratch,
-# which stay in cache
+# Psi, the p-norm weights and the sketch work in blocks of at most this
+# many bytes of scratch, which stay in cache
 _BLOCK_BYTES = 256 * 2**10
 # empirical CF moduli below this are clamped before the log, so a Lévy
 # estimate at (or within rounding of) -2 ln of it marks a clamped cell
@@ -184,14 +181,6 @@ def sample_elliptic(alpha: float, epsilon: float, num_channels: int, count: int,
     return np.sqrt(a_pos)[None, :] * g
 
 
-def _blocks(start: int, stop: int, unit_bytes: int) -> list:
-    """Consecutive ``(b0, b1)`` ranges covering ``range(start, stop)``, each
-    of at most ``_BLOCK_BYTES`` of scratch at ``unit_bytes`` per item (and
-    at least one item)."""
-    step = max(1, _BLOCK_BYTES // unit_bytes)
-    return [(b, min(b + step, stop)) for b in range(start, stop, step)]
-
-
 def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
     """Sums over the last axis of cos(2h) and sin(2h) for half-angles h,
     from one tangent t = tan(h): cos = 2/(1+t^2) - 1, sin = 2t/(1+t^2).
@@ -300,7 +289,7 @@ def _p_weights(bins: np.ndarray, p: float) -> np.ndarray:
     if p <= 0:
         raise ParameterError("p must be positive")
     weights = np.zeros(bins.shape[1:])
-    for f0, f1 in _blocks(0, bins.shape[1], 8 * bins[:, 0].size):  # |x|^p of a bin
+    for f0, f1 in _blocks(bins.shape[1], 8 * bins[:, 0].size, _BLOCK_BYTES):  # |x|^p of a bin
         powers = np.abs(bins[:, f0:f1])
         if p != 1.0:
             powers **= p  # in place: one temporary, not two
@@ -322,15 +311,17 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
     vector of weight 0 is left out; a y_t that overflows the float32 phases
     (|y_t| near float32's 3.4e38 or beyond) raises ParameterError.
 
-    Chunks of frames (see ``_chunks``; a 1-s scene is one chunk) are
-    sketched one after another, each in blocks of bins of at most
-    ``_BLOCK_BYTES`` of phases. A block takes its phases from one float32
-    matmul [Fb, L, 2M] @ [Fb, 2M, Tc], whose operand is the bins times the
-    weights rounded once to float32, and cos and sin from one float32
-    half-angle tangent: 8 bytes of scratch per phase. The [F, L] sums are
-    added in float64 in chunk order. Float32 rounds a phase theta by about
-    6e-8 |theta|, so each CF modulus is within a few float32 epsilons times
-    (1 + max |theta|) of the float64 formula's.
+    The sketch runs in blocks of at most ``_BLOCK_BYTES`` of phases (see
+    ``_blocks``): blocks of whole bins over all frames or, where one bin's
+    frames pass that budget, runs of one bin's frames (a 1-s scene on the
+    60-cell grid is blocks of 4 bins, one run each). A block takes its
+    phases from one float32 matmul [Fb, L, 2M] @ [Fb, 2M, Tb], whose
+    operand is the bins times the weights rounded once to float32, and cos
+    and sin from one float32 half-angle tangent: 8 bytes of scratch per
+    phase. Each block's [Fb, L] sums are added in float64, a bin's runs in
+    frame order. Float32 rounds a phase theta by about 6e-8 |theta|, so
+    each CF modulus is within a few float32 epsilons times (1 + max
+    |theta|) of the float64 formula's.
     """
     if not same_freq_axis(spec.freqs_hz, svs.freqs_hz):
         raise ShapeError("spectrogram and SV set must share the frequency axis")
@@ -350,15 +341,15 @@ def levy_estimator(spec: Spectrogram, svs: NormalizedSVSet, alpha: AlphaParam,
     kept = weights != 0  # [F, T]
     mask = None if kept.all() else kept.astype(np.float32)
 
+    bins = spec.bins.transpose(1, 0, 2)  # [F, M, T]
     sums = np.zeros((2, num_freqs, num_dirs))
-    for t0, t1 in _chunks(spec.num_frames, 8 * num_freqs * num_dirs, _CHUNK_BYTES):
-        x = spec.bins[:, :, t0:t1].transpose(1, 0, 2)  # [F, M, Tc]
-        for f0, f1 in _blocks(0, num_freqs, 8 * num_dirs * (t1 - t0)):
-            scale = weights[f0:f1, None, t0:t1]
+    for f0, f1 in _blocks(num_freqs, 8 * num_dirs * spec.num_frames, _BLOCK_BYTES):
+        for t0, t1 in _blocks(spec.num_frames, 8 * num_dirs * (f1 - f0), _BLOCK_BYTES):
+            x, scale = bins[f0:f1, :, t0:t1], weights[f0:f1, None, t0:t1]
             operand = np.empty((f1 - f0, 2 * num_mics, t1 - t0), dtype=np.float32)
-            np.multiply(x[f0:f1].real, scale, out=operand[:, :num_mics], casting="same_kind")
-            np.multiply(x[f0:f1].imag, scale, out=operand[:, num_mics:], casting="same_kind")
-            sums[:, f0:f1] += _cos_sin_sums(  # of [Fb, L, Tc] phases
+            np.multiply(x.real, scale, out=operand[:, :num_mics], casting="same_kind")
+            np.multiply(x.imag, scale, out=operand[:, num_mics:], casting="same_kind")
+            sums[:, f0:f1] += _cos_sin_sums(  # of [Fb, L, Tb] phases
                 probes[f0:f1] @ operand, None if mask is None else mask[f0:f1, None, t0:t1])
     cos_sum, sin_sum = sums
     mag = np.hypot(cos_sum, sin_sum) / np.maximum(kept.sum(axis=1), 1)[:, None]  # [F, L]
@@ -385,7 +376,7 @@ def build_psi(svs: NormalizedSVSet, alpha: AlphaParam, dtype=np.float64) -> np.n
     a = svs.values.transpose(2, 0, 1)  # [F, L, M]
     f, l, _ = a.shape
     blocks = np.empty((l, f, l), dtype=dtype).transpose(1, 2, 0)  # [F, L, L] over column-major Psi
-    spans = _blocks(0, f, 24 * l * l)  # the complex Gram and its float64 moduli
+    spans = _blocks(f, 24 * l * l, _BLOCK_BYTES)  # the complex Gram and its float64 moduli
     mods = np.empty((spans[0][1], l, l))
     for f0, f1 in spans:
         # operands are views of the SVs, so every bin's product takes the

@@ -498,6 +498,14 @@ class TestConfig:
                      "--values=-0.3", "--count", "1", "--methods", "music-1",
                      "--out", str(tmp_path / "o")]) == 4
 
+    def test_more_sources_than_grid_cells_sweep_exits_4(self, small_config, tmp_path, capsys):
+        # before: a ValueError traceback from the source draw (rc 1)
+        assert main(["sweep", "--config", str(small_config), "--axis", "n_sources",
+                     "--values", "25", "--count", "1", "--methods", "music-1",
+                     "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "cannot place 25 sources on 24 grid cells" in err and "Traceback" not in err
+
 
 class TestFitArtifact:
     @pytest.fixture

@@ -1,5 +1,8 @@
 """Tests for spherical-harmonic and NS-lite steering-vector interpolation."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,6 +306,26 @@ class TestArtifacts:
         back = load_fit_artifact(path)
         held = random_sphere(10, 54)
         assert np.allclose(back.predict(held), model.predict(held), atol=1e-5)
+
+    def test_sidecar_rows_checked_before_features_are_drawn(self, tmp_path):
+        # before: 4e6 features x 4 normals (128 MB) were drawn, and then the
+        # row count failed
+        truth = bandlimited_field(2, 2, 3, seed=56)
+        pts = random_sphere(20, 57)
+        meas = SparseSvMeasurements(pts, truth.predict(pts), truth.freqs_hz)
+        path = tmp_path / "ns.svst"
+        save_fit_artifact(fit_coordnet(meas, CoordNetConfig(num_features=8, seed=9)), path)
+        sidecar = path.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                       "num_features": 4_000_000}))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="8000001 coefficient rows"):
+                load_fit_artifact(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("kind", ["sh", "nslite"])
     def test_not_read_as_svset(self, tmp_path, kind):

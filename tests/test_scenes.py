@@ -230,6 +230,11 @@ class TestPlaceSources:
         with pytest.raises(SceneSpecError):
             place_sources(rng, 10, 6, 2, max_tries=200)
 
+    def test_more_sources_than_cells_raises(self):
+        # before: a ValueError from the draw without replacement
+        with pytest.raises(SceneSpecError, match="cannot place 61 sources on 60 grid cells"):
+            place_sources(np.random.default_rng(0), 60, 61, 2)
+
 
 class TestSyntheticField:
     def test_field_reproducible_and_close_to_algebraic(self):

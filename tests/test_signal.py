@@ -2,7 +2,6 @@
 
 import struct
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from shamans.signal import (
     AudioBuffer,
     Spectrogram,
     StftParams,
-    _chunks,
+    _blocks,
     hann_periodic,
     read_wav,
     stft,
@@ -298,14 +297,9 @@ class TestChunkedStft:
     """The chunked STFT against the one-shot seed code."""
 
     FRAME, HOP, CHANNELS = 64, 32, 3
-    CHUNK = 3  # frames per chunk under the patched budget below
-    INLINE = signal._CHUNKS_PER_BUDGET * CHUNK  # most frames done in one inline call
-
-    @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # scratch per frame: each channel's windowed frame and its spectrum
-        unit = self.CHANNELS * (8 * self.FRAME + 16 * (self.FRAME // 2 + 1))
-        monkeypatch.setattr(signal, "_CHUNK_BYTES", self.INLINE * unit)
+    # scratch per frame: each channel's windowed frame and its spectrum
+    UNIT = CHANNELS * (8 * FRAME + 16 * (FRAME // 2 + 1))
+    CHUNKS = [1, 3, 12, 1000]  # frames per chunk under the patched budgets
 
     def audio(self, num_frames, seed=0):
         # a few samples past the last frame, which the STFT drops
@@ -313,45 +307,45 @@ class TestChunkedStft:
         rng = np.random.default_rng(seed)
         return AudioBuffer(rng.standard_normal((self.CHANNELS, num_samples)), 16000)
 
-    @pytest.mark.parametrize("num_frames", [1, INLINE - 1, INLINE, INLINE + 1,
-                                            5 * CHUNK - 1, 5 * CHUNK, 5 * CHUNK + 1,
-                                            7 * CHUNK + 2])
-    def test_matches_seed_stft(self, num_frames):
+    def assert_matches_seed(self, monkeypatch, audio):
+        want = seed_stft_bins(audio, self.FRAME, self.HOP, 5000.0)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(signal, "_STFT_BYTES", chunk * self.UNIT)
+            sg = stft(audio, self.FRAME, self.HOP, 5000.0)
+            assert np.array_equal(sg.bins, want), chunk
+
+    @pytest.mark.parametrize("num_frames", [1, 11, 12, 13, 14, 15, 16, 23])
+    def test_matches_seed_stft(self, monkeypatch, num_frames):
         audio = self.audio(num_frames)
-        sg = stft(audio, self.FRAME, self.HOP, 5000.0)
-        assert sg.num_frames == num_frames
-        assert np.array_equal(sg.bins, seed_stft_bins(audio, self.FRAME, self.HOP, 5000.0))
+        assert stft(audio, self.FRAME, self.HOP, 5000.0).num_frames == num_frames
+        self.assert_matches_seed(monkeypatch, audio)
 
-    def test_non_contiguous_samples(self):
-        audio = self.audio(4 * self.INLINE)
+    def test_non_contiguous_samples(self, monkeypatch):
+        audio = self.audio(48)
         audio.samples = np.asfortranarray(audio.samples)
-        assert np.array_equal(stft(audio, self.FRAME, self.HOP, 5000.0).bins,
-                              seed_stft_bins(audio, self.FRAME, self.HOP, 5000.0))
-
-
-def test_input_within_budget_is_one_inline_chunk(monkeypatch):
-    # a 1-s input is transformed in one inline chunk
-    spy = mock.Mock(wraps=_chunks)
-    monkeypatch.setattr(signal, "_chunks", spy)
-    audio = AudioBuffer(np.random.default_rng(5).standard_normal((6, 48000)), 48000)
-    assert stft(audio, 768, 384, 8000.0).num_frames == 124
-    spy.assert_called_once()
-    assert _chunks(*spy.call_args.args) == [(0, 124)]
+        self.assert_matches_seed(monkeypatch, audio)
 
 
 def test_chunks_cover_range_in_order():
-    # chunks of 8 // 4 // 3 -> 1 item each, in order
-    assert _chunks(10, 3, 8) == [(i, i + 1) for i in range(10)]
-    assert _chunks(10, 3, 30) == [(0, 10)]
+    # 8 // 3 -> 2 items per range, the last one short; at least one item
+    # per range when one item passes the budget
+    assert _blocks(5, 3, 8) == [(0, 2), (2, 4), (4, 5)]
+    assert _blocks(3, 10, 8) == [(0, 1), (1, 2), (2, 3)]
+    assert _blocks(10, 3, 30) == [(0, 10)]
+    assert _blocks(0, 3, 30) == []
 
 
 def test_peak_memory_within_output_plus_budget():
     audio = AudioBuffer(np.random.default_rng(6).standard_normal((6, 20 * 48000)), 48000)
+    # numpy keeps the FFT plan of a size after its first use (about 120 KB
+    # at 768); a short input makes it before the trace
+    stft(AudioBuffer(audio.samples[:, :768], 48000), 768, 384, 8000.0)
     tracemalloc.start()
     try:
         sg = stft(audio, 768, 384, 8000.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the one-shot transform held about 184 MB of windowed frames and spectra
-    assert peak < sg.bins.nbytes + signal._CHUNK_BYTES
+    # the one-shot transform held about 184 MB of windowed frames and
+    # spectra; a chunk of them holds at most _STFT_BYTES (4 MB)
+    assert peak < sg.bins.nbytes + signal._STFT_BYTES

@@ -497,15 +497,16 @@ def random_levy_inputs(seed, num_frames, phase_scale, zeros, num_dirs=5,
 
 
 class TestStreamedSketch:
-    """The chunked real-matmul sketch against the complex-exp formula."""
+    """The blocked real-matmul sketch against the complex-exp formula."""
 
-    CHUNK = 16  # frames per chunk under the patched budget below
+    CHUNK = 16  # frames per run under the patched budget below
 
     @pytest.fixture(autouse=True)
-    def small_chunks(self, monkeypatch):
-        # 5 directions x 4 bins x 16 frames of float64 per chunk, so the
-        # chunk edges are reached with a few dozen frames
-        monkeypatch.setattr(stable, "_CHUNK_BYTES", 8 * 5 * 4 * self.CHUNK)
+    def small_blocks(self, monkeypatch):
+        # 8 bytes of phase scratch per direction and frame of 5 directions:
+        # a bin of more than 16 frames is sketched in runs of 16 frames, so
+        # the run edges are reached with a few dozen frames
+        monkeypatch.setattr(stable, "_BLOCK_BYTES", 8 * 5 * self.CHUNK)
 
     @pytest.mark.parametrize("num_frames", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     @pytest.mark.parametrize("zeros", [False, True])
@@ -534,10 +535,10 @@ class TestStreamedSketch:
         assert_cf_close(got, want, theta_max)
 
     def test_peak_memory_independent_of_frames(self, monkeypatch):
-        monkeypatch.setattr(stable, "_CHUNK_BYTES", 2**20)
-        chunk = stable._CHUNK_BYTES // (8 * 40 * 16)
+        monkeypatch.setattr(stable, "_BLOCK_BYTES", 256 * 2**10)
+        run = stable._BLOCK_BYTES // (8 * 40)  # frames of one bin per block
         peaks = []
-        for num_frames in (2 * chunk, 20 * chunk):
+        for num_frames in (run // 2, 5 * run):  # blocks of 2 bins; runs of 1 bin
             spec, svs = random_levy_inputs(3, num_frames, 1.0, True, num_dirs=40,
                                            num_freqs=16)
             tracemalloc.start()
@@ -546,9 +547,12 @@ class TestStreamedSketch:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # a full [L, F, T] complex cube would take 4 MB and 42 MB
+        # a full [L, F, T] complex cube would take 4 MB and 42 MB; beyond
+        # the [F, T] weights, kept flags and mask (13 bytes per TF vector),
+        # the sketch held 1.3 blocks of scratch at both lengths, and one run
+        # of a bin's 4095 frames would take 1.3 MB more
         assert abs(peaks[1] - peaks[0]) < 2e6
-        assert peaks[1] < 4 * stable._CHUNK_BYTES
+        assert peaks[1] < 13 * 16 * 5 * run + 3 * stable._BLOCK_BYTES
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31), num_frames=st.integers(1, 60),
@@ -619,18 +623,17 @@ class TestBlockedScratch:
 
     @pytest.mark.parametrize("zeros", [False, True])
     def test_chunked_sketch_matches_unblocked(self, monkeypatch, zeros):
-        # chunks of 8 frames of 7 bins x 5 directions, each in blocks of
-        # 1 or 3 bins or whole
-        monkeypatch.setattr(stable, "_CHUNK_BYTES", 8 * 7 * 5 * 8 * 4)
+        # a budget below one bin's 61 frames x 5 directions: blocks of 1
+        # bin, in runs of 1, 8 or 60 frames
         spec, svs = random_levy_inputs(5, 61, 1.0, zeros, num_freqs=7)
         alpha = AlphaParam(1.4)
         weights = stable._p_weights(spec.bins, 0.7)
-        for bins_per_block in (1, 3, 7):
-            monkeypatch.setattr(stable, "_BLOCK_BYTES", 8 * 5 * 8 * bins_per_block)
+        for run in (1, 8, 60):
+            monkeypatch.setattr(stable, "_BLOCK_BYTES", 8 * 5 * run)
             assert np.array_equal(levy_estimator(spec, svs, alpha),
-                                  unblocked_levy(spec, svs, alpha, chunk=8))
+                                  unblocked_levy(spec, svs, alpha, chunk=run))
             assert np.array_equal(levy_estimator(spec, svs, alpha, weights),
-                                  unblocked_levy(spec, svs, alpha, chunk=8, weights=weights))
+                                  unblocked_levy(spec, svs, alpha, chunk=run, weights=weights))
 
     @pytest.mark.parametrize("num_freqs", [1, 7])
     @pytest.mark.parametrize("bins_per_block", [1, 3])
@@ -738,21 +741,32 @@ class TestBlockedScratch:
         assert peak < 8e6
 
 
-class TestInlineChunkAndAlphaMemory:
-    """A 1-s scene is sketched in one inline chunk, and the alpha estimate's
-    memory does not grow with the input."""
+class TestSketchBlocksAndAlphaMemory:
+    """A 1-s scene is sketched in blocks of whole bins, and the alpha
+    estimate's memory does not grow with the input."""
 
-    def test_one_second_scene_is_one_inline_chunk(self, monkeypatch):
+    def test_one_second_scene_is_blocks_of_bins_with_one_run_each(self, monkeypatch):
         _, params, svs = make_scene_setup(seed=9)
         sg, _ = synth_scene(SceneSpec(source_indices=[5, 30], seed=10, snr_db=20.0),
                             svs, params)
         assert sg.num_frames >= 124
-        chunks = stable._chunks
-        spy = mock.Mock(wraps=chunks)
-        monkeypatch.setattr(stable, "_chunks", spy)
+        blocks, calls = stable._blocks, []
+
+        def spy(*args):
+            calls.append((args, blocks(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(stable, "_blocks", spy)
         shamans_localize(sg, svs, SolverConfig(iterations=5))
-        spy.assert_called_once()
-        assert chunks(*spy.call_args.args) == [(0, sg.num_frames)]
+        num_dirs, num_frames = len(svs.grid), sg.num_frames
+        [first] = [i for i, (args, _) in enumerate(calls)
+                   if args[1:] == (8 * num_dirs * num_frames, stable._BLOCK_BYTES)]
+        bin_blocks = calls[first][1]
+        assert bin_blocks[0] == (0, 4)  # 4 bins of 124 frames x 60 directions
+        # then one call per block of bins, each one run of all frames
+        assert calls[first + 1:first + 1 + len(bin_blocks)] == [
+            ((num_frames, 8 * num_dirs * (f1 - f0), stable._BLOCK_BYTES), [(0, num_frames)])
+            for f0, f1 in bin_blocks]
 
     def test_peak_memory_of_alpha_estimate(self):
         rng = np.random.default_rng(11)

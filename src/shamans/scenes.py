@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SceneSpecError, ShapeError
+from .errors import ParameterError, SceneSpecError, ShapeError
 from .evaluate import circular_cell_distance
 from .interp import SparseSvMeasurements, fibonacci_sphere, sh_expand, sh_matrix
 from .signal import AudioBuffer, Spectrogram, StftParams, read_wav, stft
@@ -334,10 +334,20 @@ def synthetic_measured_svs(geometry: ArrayGeometry, radius_m: float, freqs_hz,
                            seed: int = 0, degree: int = 8,
                            perturb_strength: float = 0.15,
                            design_points: int = 400) -> SyntheticSvField:
-    """Build a synthetic measured SV field around a microphone array."""
+    """Build a synthetic measured SV field around a microphone array.
+
+    The free field on ``design_points`` Fibonacci directions is multiplied
+    in place by a smooth per-microphone gain and projected onto real
+    spherical harmonics up to ``degree``; that one [N, M, F] array and the
+    projection are the build's only large arrays.
+    """
+    if degree < 0:
+        raise ParameterError(f"field degree must be >= 0, got {degree}")
+    if design_points < 1:
+        raise ParameterError(f"design_points must be >= 1, got {design_points}")
     freqs_hz = np.asarray(freqs_hz, dtype=np.float64)
     design = fibonacci_sphere(design_points)
-    design_grid_vals = free_field(geometry, radius_m * design, freqs_hz)
+    values = free_field(geometry, radius_m * design, freqs_hz)
 
     rng = np.random.default_rng(seed)
     perturb_deg = 2
@@ -345,11 +355,11 @@ def synthetic_measured_svs(geometry: ArrayGeometry, radius_m: float, freqs_hz,
     g = (rng.standard_normal(((perturb_deg + 1) ** 2, geometry.num_mics))
          + 1j * rng.standard_normal(((perturb_deg + 1) ** 2, geometry.num_mics)))
     gain = 1.0 + perturb_strength * (p_basis @ g)  # [N, M]
-    perturbed = design_grid_vals * gain[:, :, None]
+    values *= gain[:, :, None]
 
     # minimum-norm least squares through the real basis's pseudoinverse,
     # with lstsq's default singular-value cutoff
     basis = sh_matrix(design, degree)  # [N, P]
     basis_pinv = np.linalg.pinv(basis, rcond=np.finfo(np.float64).eps * max(basis.shape))
-    return SyntheticSvField(coeffs=sh_expand(basis_pinv, perturbed),
+    return SyntheticSvField(coeffs=sh_expand(basis_pinv, values),
                             freqs_hz=freqs_hz, degree=degree)

@@ -199,11 +199,13 @@ def _cos_sin_sums(half_phase: np.ndarray, weight: np.ndarray | None = None):
 
 def _row_medians(a: np.ndarray) -> np.ndarray:
     """``np.median(a, axis=1)`` of a 2-D float array with at least 2
-    columns, bit for bit, partitioning ``a`` in place. np.median's first
-    call in a process imports numpy.ma, which a one-shot run paid for."""
+    columns, bit for bit, partitioning ``a`` in place at the upper middle
+    only: for an even width the lower middle is the largest of the entries
+    before it. np.median's first call in a process imports numpy.ma, which
+    a one-shot run paid for."""
     k = a.shape[1] // 2
-    a.partition([k - 1, k], axis=1)
-    return a[:, k].copy() if a.shape[1] % 2 else 0.5 * (a[:, k - 1] + a[:, k])
+    a.partition(k, axis=1)
+    return a[:, k].copy() if a.shape[1] % 2 else 0.5 * (a[:, :k].max(axis=1) + a[:, k])
 
 
 def estimate_alpha(spec: Spectrogram) -> AlphaParam:
@@ -228,7 +230,10 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
     with cos and sin of each phase from one half-angle tangent.
     """
     flat = spec.bins.reshape(spec.num_channels, -1)
-    x = flat[:, ::-(-flat.shape[1] // _ALPHA_SAMPLES)]
+    # one contiguous copy of the sample, which the zero test reads faster;
+    # the projection's matmul copied a strided operand anyway, and this
+    # copy is freed right after the projection as that one was
+    x = np.ascontiguousarray(flat[:, ::-(-flat.shape[1] // _ALPHA_SAMPLES)])
     nonzero = np.any(x, axis=0)
     if np.count_nonzero(nonzero) < 100:
         picks = np.flatnonzero(np.any(flat, axis=0))
@@ -243,6 +248,7 @@ def estimate_alpha(spec: Spectrogram) -> AlphaParam:
         + 1j * rng.standard_normal((_NUM_PROJECTIONS, spec.num_channels))
     proj /= np.linalg.norm(proj, axis=1, keepdims=True)
     y = (proj.conj() @ x).real  # [D, n]
+    del x
     num = y.shape[1]
     med = _row_medians(np.abs(y))
     live = med > 0

@@ -174,19 +174,22 @@ def free_field(geometry: ArrayGeometry, positions: np.ndarray,
     its reciprocal), and the exponential of a purely imaginary phase is
     its cos and sin, each times 1/(4 pi r). So the values are the complex
     formula's, bit for bit, without its complex exponential and division.
+    The phase is held in the output's imaginary part until its sine
+    overwrites it, so the output is the only [N, M, F] array.
     """
     diff = positions[:, None, :] - geometry.mic_positions[None, :, :]
     r = np.linalg.norm(diff, axis=-1)  # [N, M]
     if np.any(r == 0):
         raise GeometryError("a source position coincides with a microphone")
-    phase = ((-2.0 * np.pi) * r)[:, :, None] * freqs_hz[None, None, :]
+    out = np.empty(r.shape + freqs_hz.shape, dtype=np.complex128)
+    phase = out.imag
+    np.multiply(((-2.0 * np.pi) * r)[:, :, None], freqs_hz[None, None, :], out=phase)
     phase *= 1.0 / SPEED_OF_SOUND
     gain = 1.0 / ((4.0 * np.pi) * r)[:, :, None]
-    out = np.empty(phase.shape, dtype=np.complex128)
     np.cos(phase, out=out.real)
     out.real *= gain
-    np.sin(phase, out=out.imag)
-    out.imag *= gain
+    np.sin(phase, out=phase)
+    phase *= gain
     return out
 
 

@@ -498,6 +498,15 @@ class TestConfig:
                      "--values=-0.3", "--count", "1", "--methods", "music-1",
                      "--out", str(tmp_path / "o")]) == 4
 
+    def test_negative_field_degree_exits_4(self, tmp_path, capsys):
+        # before: exit 4 from the SV normalization of an all-zero field,
+        # naming no field setting
+        path = tmp_path / "degree.json"
+        path.write_text(json.dumps({"field": {"degree": -1}}))
+        assert main(["localize", "--config", str(path), "--out", str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert "field degree must be >= 0, got -1" in err and "Traceback" not in err
+
     def test_more_sources_than_grid_cells_sweep_exits_4(self, small_config, tmp_path, capsys):
         # before: a ValueError traceback from the source draw (rc 1)
         assert main(["sweep", "--config", str(small_config), "--axis", "n_sources",

@@ -1,10 +1,12 @@
 """Tests for the STFT-domain scene generator and the synthetic SV field."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from shamans.cli import load_scene
-from shamans.errors import SceneSpecError, ShapeError
+from shamans.errors import ParameterError, SceneSpecError, ShapeError
 from shamans.interp import (
     ShBasisConfig,
     SparseSvMeasurements,
@@ -306,9 +308,51 @@ class TestFieldProjection:
         assert field.coeffs.shape == oracle.shape
         assert np.max(np.abs(field.coeffs - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
+    def test_negative_degree_or_no_design_points_raises(self):
+        # before: degree -1 gave an all-zero field, and exit 4 only later,
+        # from the SV normalization
+        geom = ArrayGeometry.random_array(3, 0.05, seed=6)
+        with pytest.raises(ParameterError, match="field degree must be >= 0, got -1"):
+            synthetic_measured_svs(geom, 1.5, [1000.0], degree=-1)
+        with pytest.raises(ParameterError, match="design_points must be >= 1, got 0"):
+            synthetic_measured_svs(geom, 1.5, [1000.0], design_points=0)
+
     def test_evaluate_matches_einsum(self):
         geom = ArrayGeometry.random_array(6, 0.18, seed=23)
         field = synthetic_measured_svs(geom, 1.7, StftParams().freqs_hz, seed=24)
         directions = DoaGrid.uniform(60, 1.7).directions()
         oracle = np.einsum("np,pmf->nmf", sh_matrix(directions, field.degree), field.coeffs)
         assert np.max(np.abs(field.evaluate(directions) - oracle)) <= 1e-12
+
+
+def peak_bytes(fn):
+    """tracemalloc peak of one call of ``fn``, after an untraced warm-up."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFieldMemory:
+    """The field build holds one design-grid array at a time: the free
+    field takes its phases in its own imaginary part, and the gain is
+    applied to it in place."""
+
+    GEOM = ArrayGeometry.random_array(6, 0.18, seed=21)
+    FREQS = StftParams().freqs_hz  # 129 bins
+    DESIGN_BYTES = 400 * 6 * 129 * 16  # the [400, 6, 129] complex free field
+
+    def test_free_field_peaks_at_its_output(self):
+        positions = 1.7 * fibonacci_sphere(400)
+        peak = peak_bytes(lambda: free_field(self.GEOM, positions, self.FREQS))
+        # a separate float64 phase array would add half the output
+        assert peak <= 1.1 * self.DESIGN_BYTES
+
+    def test_build_peaks_at_one_design_grid_array(self):
+        peak = peak_bytes(lambda: synthetic_measured_svs(self.GEOM, 1.7, self.FREQS, seed=22))
+        # one design-grid array plus the [81, 6, 129] projection (1.32 x);
+        # a phase array and a perturbed copy besides took 2.3 x
+        assert peak < 1.5 * self.DESIGN_BYTES

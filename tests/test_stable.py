@@ -725,9 +725,11 @@ class TestBlockedScratch:
     def test_peak_memory_of_20_second_band(self):
         # a [6, 129, 2500] input, 20 s at the default STFT (31 MB of bins):
         # the weights (2.6 MB), Psi (1.8 MB) and the sketch's 256-KB blocks
-        # make 6.4 MB; whole 4-MB chunks made 9.5 MB one at a time and
-        # 19.4 MB two at a time, and the normalized copy of the bins took
-        # the peak to 51.4 MB
+        # make 6.4 MB, below the alpha estimate's contiguous sample (3.1 MB)
+        # and its projection (4.1 MB), 7.3 MB; numpy's matmul made the same
+        # copy of a strided sample, outside tracemalloc's view. Whole 4-MB
+        # chunks made 9.5 MB one at a time and 19.4 MB two at a time, and
+        # the normalized copy of the bins took the peak to 51.4 MB
         params = StftParams()
         svs = algebraic_svs(ArrayGeometry.random_array(6, 0.18, seed=5),
                             DoaGrid.uniform(60, 1.7), params.freqs_hz)

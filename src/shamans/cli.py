@@ -242,13 +242,16 @@ def build_array(config: dict) -> ArrayGeometry:
                                       seed=seed)
 
 
-def build_field(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
-                params: StftParams) -> scenes.SyntheticSvField:
+def build_ref(config: dict, geometry: ArrayGeometry, grid: DoaGrid,
+              params: StftParams) -> SteeringVectorSet:
+    """The ``ref`` SV set: the config's synthetic measured field on the grid."""
     f = config["field"]
     seed = derive_seed(config["seed"], "field") if f["seed"] is None else f["seed"]
-    return synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
-                                  seed=seed, degree=f["degree"],
-                                  perturb_strength=f["perturb_strength"])
+    field = synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
+                                   seed=seed, degree=f["degree"],
+                                   perturb_strength=f["perturb_strength"])
+    return SteeringVectorSet(values=field.predict(grid.directions()), grid=grid,
+                             freqs_hz=field.freqs_hz, source_tag="measured")
 
 
 def fit_interpolator(measured: SteeringVectorSet, method: str, config: dict):
@@ -284,8 +287,9 @@ def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
 
     With ``sv.path`` set, ``ref`` loads that SVSET and ``sh``/``nslite``
     that fit artifact, which must be of their kind. Without it, ``ref`` is
-    the measured field on the grid (the ``ref`` set given, else built) and
-    ``sh``/``nslite`` are fitted to it by :func:`fit_interpolator`.
+    the measured field on the grid (the ``ref`` set given, else built by
+    :func:`build_ref`) and ``sh``/``nslite`` are fitted to it by
+    :func:`fit_interpolator`.
     """
     model = config["sv"]["model"]
     path = config["sv"]["path"]
@@ -296,7 +300,7 @@ def resolve_svs(config: dict, grid: DoaGrid, params: StftParams,
     if path is None:
         if ref is None:
             geometry = geometry or build_array(config)
-            ref = build_field(config, geometry, grid, params).on_grid(grid)
+            ref = build_ref(config, geometry, grid, params)
         if model == "ref":
             return ref
         return interp_svs(fit_interpolator(ref, model, config), grid, params.freqs_hz)
@@ -396,8 +400,7 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.emit_ref_svset:
-        field = build_field(config, geometry, grid, params)
-        save_svset(field.on_grid(grid), out / "ref.svst")
+        save_svset(build_ref(config, geometry, grid, params), out / "ref.svst")
         print(f"wrote {out / 'ref.svst'}")
     if args.emit_alg_svset:
         save_svset(algebraic_svs(geometry, grid, params.freqs_hz), out / "alg.svst")
@@ -443,7 +446,7 @@ def cmd_localize(args) -> int:
     else:
         scene = load_scene(args.scene) if args.scene else scenes.scene_from_dict(
             {**config["scene"], "seed": config["seed"]})
-        ref = build_field(config, geometry, grid, params).on_grid(grid)
+        ref = build_ref(config, geometry, grid, params)
         spectrogram, truth = synth_scene(scene, ref, params)
         svs = resolve_svs(config, grid, params, geometry, ref)
 
@@ -518,7 +521,7 @@ def cmd_sweep(args) -> int:
     try:
         params = build_stft_params(config)
         geometry = build_array(config)
-        ref = build_field(config, geometry, grid, params).on_grid(grid)
+        ref = build_ref(config, geometry, grid, params)
     except Exception as exc:
         field_status = _fault_status("scene-error", exc)
     for sv_model in sv_models if field_status is None else ():

@@ -77,7 +77,7 @@ def circular_cell_distance(i: int, j: int, num_cells: int) -> int:
 
 
 def _shortest_augmenting_path(cost: np.ndarray) -> tuple:
-    """Minimum-cost assignment of a finite [R, C] matrix, R <= C or transposed.
+    """Minimum-cost assignment of a finite [R, C] matrix with R <= C.
 
     The rectangular shortest-augmenting-path algorithm of Crouse (IEEE
     TAES 2016) with the tie-breaking of scipy's ``linear_sum_assignment``:
@@ -85,8 +85,7 @@ def _shortest_augmenting_path(cost: np.ndarray) -> tuple:
     equal reduced cost a column that has no row yet wins. Returns
     (row_indices, col_indices) sorted by row.
     """
-    transpose = cost.shape[1] < cost.shape[0]
-    rows_of = (cost.T if transpose else cost).tolist()
+    rows_of = cost.tolist()
     nr, nc = len(rows_of), len(rows_of[0])
     u, v = [0.0] * nr, [0.0] * nc
     path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
@@ -129,11 +128,7 @@ def _shortest_augmenting_path(cost: np.ndarray) -> tuple:
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    col4row = np.asarray(col4row, dtype=np.intp)
-    if transpose:
-        order = np.argsort(col4row)
-        return col4row[order], order
-    return np.arange(nr), col4row
+    return np.arange(nr), np.asarray(col4row, dtype=np.intp)
 
 
 def hungarian_assign(cost) -> tuple:

@@ -4,7 +4,9 @@ Two interpolators share one interface: per-frequency spherical-harmonic
 ridge regression, and "NS-lite", a seeded random trigonometric feature
 expansion of (x, y, z, normalized frequency) followed by ridge regression
 per microphone. Both expose ``predict(directions) -> [N, M, F]`` and a
-``freqs_hz`` attribute, which is all :func:`interp_svs` needs.
+``freqs_hz`` attribute, which is all :func:`interp_svs` and
+:func:`sample_ring` need. The synthetic measured field of ``scenes`` is an
+SH expansion too, so it is an :class:`ShCoefficients` like an SH fit.
 """
 
 from __future__ import annotations
@@ -152,14 +154,11 @@ class SparseSvMeasurements:
         if self.values.shape[2] != self.freqs_hz.size:
             raise ShapeError("values and freqs_hz disagree on F")
 
-    @property
-    def num_measurements(self) -> int:
-        return self.directions.shape[0]
-
 
 @dataclass
 class ShCoefficients:
-    """Fitted SH expansion, coeffs shaped [(max_degree+1)^2, M, F]."""
+    """SH expansion of an SV field, coeffs shaped [(max_degree+1)^2, M, F]:
+    an SH fit, or the synthetic measured field itself."""
 
     coeffs: np.ndarray
     freqs_hz: np.ndarray
@@ -307,6 +306,16 @@ def interp_svs(model, grid: DoaGrid, freqs_hz) -> SteeringVectorSet:
                              source_tag="interpolated")
 
 
+def sample_ring(model, grid: DoaGrid, count: int, seed: int) -> SparseSvMeasurements:
+    """``count`` seeded random directions on the grid's azimuth ring, with
+    ``model``'s SVs there, mirroring an SVSET subsample."""
+    rng = np.random.default_rng(seed)
+    azimuths = np.sort(rng.uniform(0.0, 360.0, count))
+    directions = DoaGrid(azimuths, grid.radius_m, grid.elevation_deg).directions()
+    return SparseSvMeasurements(directions=directions, values=model.predict(directions),
+                                freqs_hz=model.freqs_hz)
+
+
 def interp_error_report(truth: SteeringVectorSet,
                         estimate: SteeringVectorSet) -> np.ndarray:
     """Per-frequency relative Frobenius error of an interpolated SV set."""
@@ -347,20 +356,32 @@ def save_fit_artifact(model, path, extra: dict | None = None) -> None:
                                                     sort_keys=True, indent=1))
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number or constant (NaN, Infinity) that must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_fit_artifact(path):
-    """Read a fit artifact; a sidecar that is not JSON, lacks a field or
-    disagrees with the container's coefficient rows is a FormatError."""
+    """Read a fit artifact; a value that is not finite, and a sidecar that
+    is not JSON, lacks a field or disagrees with the container's
+    coefficient rows, is a FormatError naming the file."""
     path, sidecar = Path(path), Path(path).with_suffix(".json")
     values, _axis0, freqs, _radius, _elev, _tag = read_svset_raw(path)
     values = values.astype(np.complex128)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(freqs))):
+        raise FormatError(f"{path}: the fit's coefficients or frequencies are not all finite")
 
     def check_rows(rows):  # before a model of that size is made
         if values.shape[0] != rows:
             raise FormatError(f"{sidecar}: the fit has {rows} coefficient rows, "
                               f"{path} holds {values.shape[0]}")
 
-    try:  # not UTF-8 or not JSON is a ValueError
-        meta = json.loads(sidecar.read_text())
+    try:  # not UTF-8, not JSON or a number that is not finite is a ValueError
+        meta = json.loads(sidecar.read_text(), parse_float=_finite_number,
+                          parse_constant=_finite_number)
         if meta["kind"] == "sh":
             max_degree = int(meta["max_degree"])
             check_rows(num_sh_coeffs(max_degree))

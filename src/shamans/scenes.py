@@ -7,8 +7,9 @@ grid index, so a union of disjoint source sets composes bit-exactly.
 
 The module also provides a band-limited synthetic "measured" SV field: a
 low-degree spherical-harmonic projection of the free-field model times a
-smooth random gain/phase perturbation. It stands in for physically
-measured SV sets when exercising interpolators end to end.
+smooth random gain/phase perturbation, held as an ``interp.ShCoefficients``
+like an SH fit and evaluated by its ``predict``. It stands in for
+physically measured SV sets when exercising interpolators end to end.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import numpy as np
 
 from .errors import ParameterError, SceneSpecError, ShapeError
 from .evaluate import circular_cell_distance
-from .interp import SparseSvMeasurements, fibonacci_sphere, sh_expand, sh_matrix
+from .interp import ShCoefficients, fibonacci_sphere, sh_expand, sh_matrix
 from .signal import AudioBuffer, Spectrogram, StftParams, read_wav, stft
 from .stable import sample_sas
-from .steering import ArrayGeometry, DoaGrid, SteeringVectorSet, free_field, same_freq_axis
+from .steering import ArrayGeometry, SteeringVectorSet, free_field, same_freq_axis
 
 _STREAM_SOURCE = 0x51
 _STREAM_NOISE = 0x52
@@ -298,48 +299,17 @@ def save_scene(spec: SceneSpec, path) -> None:
 # synthetic "measured" steering vector field
 
 
-@dataclass
-class SyntheticSvField:
-    """Band-limited ground-truth SV field standing in for measured data.
-
-    The free-field model is evaluated on a dense Fibonacci design grid,
-    multiplied by a smooth seeded complex perturbation per microphone, and
-    least-squares projected onto spherical harmonics up to ``degree``. The
-    resulting coefficients define the field everywhere on the sphere.
-    """
-
-    coeffs: np.ndarray  # [(degree+1)^2, M, F]
-    freqs_hz: np.ndarray
-    degree: int
-
-    def evaluate(self, directions) -> np.ndarray:
-        return sh_expand(sh_matrix(directions, self.degree), self.coeffs)
-
-    def on_grid(self, grid: DoaGrid) -> SteeringVectorSet:
-        return SteeringVectorSet(values=self.evaluate(grid.directions()),
-                                 grid=grid, freqs_hz=self.freqs_hz,
-                                 source_tag="measured")
-
-    def sample_ring(self, grid: DoaGrid, count: int, seed: int) -> SparseSvMeasurements:
-        """Random azimuth-ring measurements, mirroring an SVSET subsample."""
-        rng = np.random.default_rng(seed)
-        azimuths = np.sort(rng.uniform(0.0, 360.0, count))
-        directions = DoaGrid(azimuths, grid.radius_m, grid.elevation_deg).directions()
-        return SparseSvMeasurements(directions=directions,
-                                    values=self.evaluate(directions),
-                                    freqs_hz=self.freqs_hz)
-
-
 def synthetic_measured_svs(geometry: ArrayGeometry, radius_m: float, freqs_hz,
                            seed: int = 0, degree: int = 8,
                            perturb_strength: float = 0.15,
-                           design_points: int = 400) -> SyntheticSvField:
+                           design_points: int = 400) -> ShCoefficients:
     """Build a synthetic measured SV field around a microphone array.
 
     The free field on ``design_points`` Fibonacci directions is multiplied
     in place by a smooth per-microphone gain and projected onto real
     spherical harmonics up to ``degree``; that one [N, M, F] array and the
-    projection are the build's only large arrays.
+    projection are the build's only large arrays. The coefficients define
+    the field everywhere on the sphere; ``predict`` evaluates it.
     """
     if degree < 0:
         raise ParameterError(f"field degree must be >= 0, got {degree}")
@@ -361,5 +331,4 @@ def synthetic_measured_svs(geometry: ArrayGeometry, radius_m: float, freqs_hz,
     # with lstsq's default singular-value cutoff
     basis = sh_matrix(design, degree)  # [N, P]
     basis_pinv = np.linalg.pinv(basis, rcond=np.finfo(np.float64).eps * max(basis.shape))
-    return SyntheticSvField(coeffs=sh_expand(basis_pinv, values),
-                            freqs_hz=freqs_hz, degree=degree)
+    return ShCoefficients(sh_expand(basis_pinv, values), freqs_hz, max_degree=degree)

@@ -24,7 +24,7 @@ from shamans.evaluate import (
     minmax_normalize,
     pick_peaks,
 )
-from shamans.interp import ShBasisConfig, fit_sh, interp_svs
+from shamans.interp import ShBasisConfig, fit_sh, interp_svs, sample_ring
 from shamans.scenes import (
     SceneSpec,
     scene_batch,
@@ -47,6 +47,7 @@ from shamans.steering import (
     ArrayGeometry,
     DoaGrid,
     NormalizedSVSet,
+    SteeringVectorSet,
     algebraic_svs,
 )
 
@@ -254,8 +255,8 @@ def test_criterion_10_source_count_auc():
     """AUC >= 0.80 for counting N=3 with SH SVs from 32 ring measurements."""
     field = synthetic_measured_svs(ARRAY, GRID.radius_m, FREQS, seed=21,
                                    degree=8, perturb_strength=0.15)
-    ref = field.on_grid(GRID)
-    meas = field.sample_ring(GRID, 32, seed=9)
+    ref = SteeringVectorSet(field.predict(GRID.directions()), GRID, FREQS)
+    meas = sample_ring(field, GRID, 32, seed=9)
     fitted = fit_sh(meas, ShBasisConfig(max_degree=8, ridge_lambda=1e-4))
     interp = interp_svs(fitted, GRID, FREQS)
 

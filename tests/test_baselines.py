@@ -182,7 +182,7 @@ def config_scenes(request):
     config = cli.load_config(None if request.param == "default" else str(GOLDEN_CONFIG))
     params, grid = cli.build_stft_params(config), cli.build_grid(config)
     geometry = cli.build_array(config)
-    ref = cli.build_field(config, geometry, grid, params).on_grid(grid)
+    ref = cli.build_ref(config, geometry, grid, params)
     alg = algebraic_svs(geometry, grid, params.freqs_hz)
     specs = [synth_scene(SceneSpec(source_indices=idx, seed=seed, snr_db=snr), ref,
                          params)[0]

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -548,6 +549,40 @@ class TestFitArtifact:
         err = capsys.readouterr().err
         assert f"{sidecar}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, where", [
+        ("sh", "coefficient"), ("sh", "frequency"), ("sh", "ridge_lambda"),
+        ("nslite", "freqs_hz"), ("nslite", "freq_scale"), ("nslite", "feature_scale"),
+    ])
+    def test_non_finite_value_exits_2(self, small_config, artifacts, tmp_path, capsys,
+                                      kind, where):
+        # before: a NaN coefficient exited 4, "SV tensor contains non-finite
+        # entries", naming no file; NaN, Infinity and 1e999 in a sidecar
+        # loaded as numbers that are not finite
+        src = artifacts[kind]
+        model = tmp_path / "model.svst"
+        sidecar = model.with_suffix(".json")
+        values, axis0, freqs, radius, elevation, tag = read_svset_raw(src)
+        meta = json.loads(src.with_suffix(".json").read_text())
+        if where == "coefficient":
+            values[0, 0, 0] = np.nan
+        elif where == "frequency":
+            freqs[-1] = np.nan
+        elif where == "freqs_hz":
+            meta["freqs_hz"][1] = math.nan
+        else:
+            meta[where] = math.inf
+        write_svset_raw(model, values, axis0, freqs, radius, elevation, tag)
+        text = json.dumps(meta)
+        sidecar.write_text(text.replace("Infinity", "1e999") if where == "feature_scale"
+                           else text)
+        assert main(["localize", "--config", str(small_config), "--method", "music-1",
+                     "--sv-model", kind, "--sv-path", str(model),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        named = model if where in ("coefficient", "frequency") else sidecar
+        assert err.startswith(f"error: {named}:") and "finite" in err
+        assert "Traceback" not in err
+
     def test_sidecar_records_the_fit_run(self, artifacts, measured_svset):
         measured = load_svset(measured_svset)
         for kind, model in artifacts.items():
@@ -695,8 +730,8 @@ class TestLocalize:
         # before: "sv.path must point to a fit artifact" (rc 4) for every n_sv;
         # the fit takes the field the scene is synthesized with
         builds = []
-        real = cli.build_field
-        monkeypatch.setattr(cli, "build_field", lambda *args: builds.append(1) or real(*args))
+        real = cli.build_ref
+        monkeypatch.setattr(cli, "build_ref", lambda *args: builds.append(1) or real(*args))
         config = with_n_sv(small_config, tmp_path, n_sv)
         assert main(["localize", "--config", str(config), "--method", "music-1",
                      "--sv-model", sv_model, "--out", str(tmp_path / "o")]) == rc
@@ -833,7 +868,7 @@ class TestSweep:
         assert all(r["status"] == "error: RuntimeError: boom" for r in rows)
 
     @pytest.mark.parametrize("step, status, failed_models", [
-        ("build_field", "scene-error", {"ref", "alg"}),
+        ("build_ref", "scene-error", {"ref", "alg"}),
         ("synth_scene", "scene-error", {"ref", "alg"}),
         ("algebraic_svs", "sv-error", {"alg"}),
     ])
@@ -872,13 +907,13 @@ class TestSweep:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("build_field", "algebraic_svs", "load_fit_artifact"):
+        for name in ("build_ref", "algebraic_svs", "load_fit_artifact"):
             monkeypatch.setattr(cli, name, counted(name))
         out = tmp_path / "once"
         assert main(["sweep", "--config", str(artifact_config), "--count", "3",
                      "--methods", "music-1", "--sv-models", "ref,alg,sh",
                      "--out", str(out)]) == 0
-        assert calls == {"build_field": 1, "algebraic_svs": 1, "load_fit_artifact": 1}
+        assert calls == {"build_ref": 1, "algebraic_svs": 1, "load_fit_artifact": 1}
         rows = read_rows(out / "detail.csv")
         assert len(rows) == 3 * 3 and all(r["status"] == "ok" for r in rows)
 
@@ -886,8 +921,8 @@ class TestSweep:
         # default config, no sv.path: sh and nslite are fitted to the sweep's
         # own ref, which is built once (before: exit 4, "sv.path needed")
         builds = []
-        real = cli.build_field
-        monkeypatch.setattr(cli, "build_field", lambda *args: builds.append(1) or real(*args))
+        real = cli.build_ref
+        monkeypatch.setattr(cli, "build_ref", lambda *args: builds.append(1) or real(*args))
         out = tmp_path / "fits"
         assert main(["sweep", "--count", "1", "--methods", "music-1",
                      "--sv-models", "ref,alg,sh,nslite", "--out", str(out)]) == 0
@@ -1041,6 +1076,19 @@ class TestSceneStagesInSweeps:
             want = "error: RuntimeError: boom" if r["method"] == "srp-phat" else "ok"
             assert r["status"] == want
         assert capsys.readouterr().err.count("RuntimeError: boom") == 2 * 2
+
+
+class TestBuildRef:
+    def test_ref_is_the_field_on_the_grid(self, small_config):
+        config = cli.load_config(str(small_config))
+        params, grid = cli.build_stft_params(config), cli.build_grid(config)
+        geometry = cli.build_array(config)
+        ref = cli.build_ref(config, geometry, grid, params)
+        assert ref.source_tag == "measured" and ref.grid is grid
+        field = scenes.synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
+                                               seed=5, degree=6, perturb_strength=0.1)
+        assert np.array_equal(ref.values, field.predict(grid.directions()))
+        assert np.array_equal(ref.freqs_hz, params.freqs_hz)
 
 
 class TestSimulate:

@@ -175,7 +175,8 @@ def grid_error_matrix(rng, n, k):
 class TestAssignmentOracle:
     """The assignment against scipy's linear_sum_assignment, the same
     algorithm and tie-breaking: with tied totals, another optimal pairing
-    would change the per-source errors, so the pairs themselves must match."""
+    would change the per-source errors, so the pairs themselves must match.
+    The solver itself takes R <= C; hungarian_assign pads a taller matrix."""
 
     def test_same_pairs_on_tie_heavy_grid_errors(self):
         optimize = pytest.importorskip("scipy.optimize")
@@ -183,9 +184,10 @@ class TestAssignmentOracle:
         for _ in range(10_000):
             n, k = int(rng.integers(1, 8)), int(rng.integers(1, 11))
             cost = grid_error_matrix(rng, n, k)
-            rows, cols = _shortest_augmenting_path(cost)
-            want_rows, want_cols = optimize.linear_sum_assignment(cost)
-            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            if n <= k:
+                rows, cols = _shortest_augmenting_path(cost)
+                want_rows, want_cols = optimize.linear_sum_assignment(cost)
+                assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
             rows, cols, total = hungarian_assign(cost)
             work = cost if n <= k else np.hstack(
                 [cost, np.full((n, n - k), cost.max() + 1.0 + MISS_COST_DEG)])
@@ -197,7 +199,8 @@ class TestAssignmentOracle:
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(6)
         for _ in range(500):
-            cost = rng.random((int(rng.integers(1, 8)), int(rng.integers(1, 11))))
+            n = int(rng.integers(1, 8))
+            cost = rng.random((n, int(rng.integers(n, 11))))
             rows, cols = _shortest_augmenting_path(cost)
             want_rows, want_cols = optimize.linear_sum_assignment(cost)
             assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)

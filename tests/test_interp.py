@@ -23,6 +23,7 @@ from shamans.interp import (
     interp_svs,
     load_fit_artifact,
     num_sh_coeffs,
+    sample_ring,
     save_fit_artifact,
     sh_expand,
     sh_matrix,
@@ -141,6 +142,18 @@ class TestFitSh:
 
 
 class TestInterpSvs:
+    def test_sample_ring_takes_any_model(self):
+        truth = bandlimited_field(2, 2, 3, seed=60)
+        pts = random_sphere(20, 61)
+        meas = SparseSvMeasurements(pts, truth.predict(pts), truth.freqs_hz)
+        grid = DoaGrid.uniform(12, 1.5, elevation_deg=10.0)
+        for model in (truth, fit_coordnet(meas, CoordNetConfig(num_features=8, seed=9))):
+            ring = sample_ring(model, grid, 7, seed=62)
+            assert ring.directions.shape == (7, 3)
+            assert np.allclose(ring.directions[:, 2], np.sin(np.radians(10.0)))
+            assert np.array_equal(ring.values, model.predict(ring.directions))
+            assert np.array_equal(ring.freqs_hz, model.freqs_hz)
+
     def test_training_point_consistency(self):
         truth = bandlimited_field(2, 3, 4, seed=13)
         grid = DoaGrid.uniform(12, 1.7)
@@ -327,6 +340,26 @@ class TestArtifacts:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_non_finite_values_name_the_file(self, tmp_path):
+        # before: both loaded; the NaN coefficient failed later, as a
+        # ParameterError of the SV set that named no file
+        truth = bandlimited_field(2, 2, 3, seed=58)
+        pts = random_sphere(20, 59)
+        meas = SparseSvMeasurements(pts, truth.predict(pts), truth.freqs_hz)
+        sh = fit_sh(meas, ShBasisConfig(max_degree=2, ridge_lambda=1e-8))
+        sh.coeffs[4, 1, 2] = np.nan
+        path = tmp_path / "sh.svst"
+        save_fit_artifact(sh, path)
+        with pytest.raises(FormatError, match="sh.svst: the fit's coefficients or "
+                                              "frequencies are not all finite"):
+            load_fit_artifact(path)
+        path = tmp_path / "ns.svst"
+        save_fit_artifact(fit_coordnet(meas, CoordNetConfig(num_features=8, seed=9)), path,
+                          {"freq_scale": float("nan")})
+        with pytest.raises(FormatError, match="ns.json: not a fit-artifact sidecar "
+                                              r"\(ValueError: NaN is not a finite number\)"):
+            load_fit_artifact(path)
+
     @pytest.mark.parametrize("kind", ["sh", "nslite"])
     def test_not_read_as_svset(self, tmp_path, kind):
         truth = bandlimited_field(2, 2, 3, seed=55)
@@ -372,7 +405,7 @@ def default_field_samples():
     samples a measured set: all on the horizontal plane."""
     config = cli.load_config(None)
     params, grid = cli.build_stft_params(config), cli.build_grid(config)
-    ref = cli.build_field(config, cli.build_array(config), grid, params).on_grid(grid)
+    ref = cli.build_ref(config, cli.build_array(config), grid, params)
     chosen = np.sort(np.random.default_rng(3).choice(len(grid), 32, replace=False))
     return grid, SparseSvMeasurements(grid.directions()[chosen], ref.values[chosen],
                                       ref.freqs_hz)

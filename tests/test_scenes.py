@@ -12,6 +12,7 @@ from shamans.interp import (
     SparseSvMeasurements,
     fibonacci_sphere,
     fit_sh,
+    sample_ring,
     sh_matrix,
 )
 from shamans.scenes import (
@@ -246,10 +247,9 @@ class TestSyntheticField:
         f2 = synthetic_measured_svs(geom, 1.7, freqs, seed=9, degree=6)
         assert np.array_equal(f1.coeffs, f2.coeffs)
         grid = DoaGrid.uniform(24, 1.7)
-        measured = f1.on_grid(grid)
-        assert measured.source_tag == "measured"
+        measured = f1.predict(grid.directions())
         alg = algebraic_svs(geom, grid, freqs)
-        rel = np.linalg.norm(measured.values - alg.values) / np.linalg.norm(alg.values)
+        rel = np.linalg.norm(measured - alg.values) / np.linalg.norm(alg.values)
         assert 0.01 < rel < 1.0  # perturbed and truncated, but recognizably close
 
     def test_band_limited_recoverable_by_sh(self):
@@ -260,10 +260,10 @@ class TestSyntheticField:
         field = synthetic_measured_svs(geom, 1.5, freqs, seed=4, degree=4)
         xyz = np.random.default_rng(5).standard_normal((80, 3))
         xyz /= np.linalg.norm(xyz, axis=1, keepdims=True)
-        meas = SparseSvMeasurements(xyz, field.evaluate(xyz), freqs)
+        meas = SparseSvMeasurements(xyz, field.predict(xyz), freqs)
         fitted = fit_sh(meas, ShBasisConfig(max_degree=4, ridge_lambda=1e-10))
         grid = DoaGrid.uniform(16, 1.5)
-        ref = field.evaluate(grid.directions())
+        ref = field.predict(grid.directions())
         est = fitted.predict(grid.directions())
         assert np.linalg.norm(est - ref) / np.linalg.norm(ref) < 1e-6
 
@@ -271,8 +271,9 @@ class TestSyntheticField:
         geom = ArrayGeometry.random_array(3, 0.05, seed=6)
         field = synthetic_measured_svs(geom, 1.5, [1000.0], seed=7, degree=4)
         grid = DoaGrid.uniform(12, 1.5)
-        meas = field.sample_ring(grid, 10, seed=8)
-        assert meas.num_measurements == 10
+        meas = sample_ring(field, grid, 10, seed=8)
+        assert meas.directions.shape[0] == 10
+        assert np.array_equal(meas.values, field.predict(meas.directions))
         assert np.allclose(np.linalg.norm(meas.directions, axis=1), 1.0)
         assert np.allclose(meas.directions[:, 2], 0.0)  # elevation 0 ring
 
@@ -316,13 +317,6 @@ class TestFieldProjection:
             synthetic_measured_svs(geom, 1.5, [1000.0], degree=-1)
         with pytest.raises(ParameterError, match="design_points must be >= 1, got 0"):
             synthetic_measured_svs(geom, 1.5, [1000.0], design_points=0)
-
-    def test_evaluate_matches_einsum(self):
-        geom = ArrayGeometry.random_array(6, 0.18, seed=23)
-        field = synthetic_measured_svs(geom, 1.7, StftParams().freqs_hz, seed=24)
-        directions = DoaGrid.uniform(60, 1.7).directions()
-        oracle = np.einsum("np,pmf->nmf", sh_matrix(directions, field.degree), field.coeffs)
-        assert np.max(np.abs(field.evaluate(directions) - oracle)) <= 1e-12
 
 
 def peak_bytes(fn):

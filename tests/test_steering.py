@@ -109,10 +109,20 @@ def test_free_field_matches_seed_formula(config_path, monkeypatch):
     assert np.array_equal(alg.values, seed_free_field(
         geometry.mic_positions, grid.positions(), params.freqs_hz))
 
-    field = cli.build_field(config, geometry, grid, params)
+    field_cfg = config["field"]
+    seed = field_cfg["seed"]
+    if seed is None:
+        seed = scenes.derive_seed(config["seed"], "field")
+
+    def make_field():
+        return scenes.synthetic_measured_svs(geometry, grid.radius_m, params.freqs_hz,
+                                             seed=seed, degree=field_cfg["degree"],
+                                             perturb_strength=field_cfg["perturb_strength"])
+
+    field = make_field()
     monkeypatch.setattr(scenes, "free_field", lambda geom, positions, freqs:
                         seed_free_field(geom.mic_positions, positions, freqs))
-    oracle = cli.build_field(config, geometry, grid, params)
+    oracle = make_field()
     assert np.array_equal(field.coeffs, oracle.coeffs)
 
 
